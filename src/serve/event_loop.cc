@@ -5,11 +5,14 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -32,13 +35,25 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-/// epoll_event.data.u64 tags: the listener and the wake pipe get fixed
-/// ids; connections count up from kFirstConnId and are never reused, so
-/// a completion for a closed connection can only miss, never hit a
-/// recycled one.
+/// epoll_event.data.u64 tags: the listener, the wake pipe and the
+/// deadline timer get fixed ids; connections count up from kFirstConnId
+/// and are never reused, so a completion for a closed connection can
+/// only miss, never hit a recycled one.
 constexpr uint64_t kListenerId = 0;
 constexpr uint64_t kWakeId = 1;
-constexpr uint64_t kFirstConnId = 2;
+constexpr uint64_t kTimerId = 2;
+constexpr uint64_t kFirstConnId = 3;
+
+/// Why a coalesced batch closed (pcx_coalesce_dispatch_total{reason}).
+enum DispatchReason : size_t {
+  kWindow,      ///< coalesce_us elapsed since the batch's first request
+  kAllWaiting,  ///< no open connection could add another request
+  kMaxBatch,    ///< the batch reached max_batch requests
+  kShutdown,    ///< Serve is returning
+  kNumDispatchReasons
+};
+constexpr const char* kDispatchReasonLabels[kNumDispatchReasons] = {
+    "window", "all_waiting", "max_batch", "shutdown"};
 
 /// One finished async request: which connection, which reply slot, the
 /// reply text. Produced by pool workers, applied by the loop thread.
@@ -97,6 +112,8 @@ struct Conn {
   size_t discard_budget = 0;
   bool discarding = false;
   bool want_write = false;  ///< EPOLLOUT currently requested
+  /// Counted in Loop::idle_conns_: open for input, nothing unanswered.
+  bool idle = false;
   /// Per-connection protocol state (TRACE toggle). shared_ptr: pool
   /// workers capture it, so a connection destroyed with a request still
   /// in flight cannot dangle the worker's session pointer.
@@ -159,7 +176,13 @@ class Loop {
         coalesce_batch_hist_(&server.metrics().GetHistogram(
             "pcx_coalesce_batch_size", {},
             "Requests per dispatched coalesced BOUND batch")),
-        pool_(options.solver_threads == 0 ? 2 : options.solver_threads) {}
+        pool_(options.solver_threads == 0 ? 2 : options.solver_threads) {
+    for (size_t r = 0; r < kNumDispatchReasons; ++r) {
+      dispatch_reason_[r] = &server.metrics().GetCounter(
+          "pcx_coalesce_dispatch_total", {{"reason", kDispatchReasonLabels[r]}},
+          "Coalesced BOUND batches dispatched, by why the window closed");
+    }
+  }
 
   Status Run();
 
@@ -187,6 +210,38 @@ class Loop {
     ::epoll_ctl(epfd_, EPOLL_CTL_MOD, conn.fd, &ev);
   }
 
+  /// Arms the timer at the nearer of the batch deadline and the accept
+  /// re-arm time, or disarms it when neither is set. The deadline is an
+  /// absolute CLOCK_MONOTONIC time (steady_clock's clock on Linux), so a
+  /// window lasts exactly coalesce_us instead of rounding up to epoll's
+  /// milliseconds.
+  void ArmTimer() {
+    std::optional<SteadyClock::time_point> at = batch_deadline_;
+    if (accept_rearm_at_.has_value() &&
+        (!at.has_value() || *accept_rearm_at_ < *at)) {
+      at = accept_rearm_at_;
+    }
+    if (at == timer_armed_at_) return;
+    timer_armed_at_ = at;
+    itimerspec spec{};  // all zero = disarmed
+    if (at.has_value()) {
+      const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             at->time_since_epoch())
+                             .count();
+      spec.it_value.tv_sec = static_cast<time_t>(ns / 1000000000);
+      spec.it_value.tv_nsec = static_cast<long>(ns % 1000000000);
+    }
+    ::timerfd_settime(timer_fd_, TFD_TIMER_ABSTIME, &spec, nullptr);
+  }
+
+  /// Consumes a timer expiry (the timer is one-shot, so it is disarmed).
+  void DrainTimer() {
+    uint64_t expirations = 0;
+    ssize_t ignored = ::read(timer_fd_, &expirations, sizeof(expirations));
+    (void)ignored;  // EAGAIN = a stale wake-up; nothing to consume
+    timer_armed_at_.reset();
+  }
+
   /// Wakes the loop from a pool worker (completions are ready).
   void Wake() {
     const char byte = 1;
@@ -198,6 +253,19 @@ class Loop {
 
   void AcceptReady();
   void DestroyConn(uint64_t id);
+  /// Recounts `conn` in idle_conns_ after its outstanding count or its
+  /// input state (eof/closing/discarding) changed.
+  void SyncIdle(Conn& conn) {
+    const bool idle = conn.outstanding == 0 && !conn.closing && !conn.eof &&
+                      !conn.discarding;
+    if (idle == conn.idle) return;
+    conn.idle = idle;
+    if (idle) {
+      ++idle_conns_;
+    } else {
+      --idle_conns_;
+    }
+  }
   Conn* FindConn(uint64_t id) {
     const auto it = conns_.find(id);
     return it == conns_.end() ? nullptr : it->second.get();
@@ -213,7 +281,7 @@ class Loop {
   /// True when admission control rejected (slot answered UNAVAILABLE).
   bool RejectIfOverloaded(Conn& conn, Slot& slot);
   void SubmitHandleLineTask(Conn& conn, Slot& slot, std::string line);
-  void DispatchBoundBatch();
+  void DispatchBoundBatch(DispatchReason reason);
 
   // -- reply path -----------------------------------------------------
 
@@ -255,6 +323,14 @@ class Loop {
 
   std::vector<PendingBound> pending_bounds_;
   std::optional<SteadyClock::time_point> batch_deadline_;
+  /// Connections that could still add a request to the pending batch:
+  /// open for input with no request unanswered. Zero at the end of a
+  /// sweep means the batch cannot grow, so it goes out before its
+  /// window ends. Kept as a count so the check is O(1) at C10K.
+  size_t idle_conns_ = 0;
+  /// timerfd for the nearest deadline, and the time it is armed for.
+  int timer_fd_ = -1;
+  std::optional<SteadyClock::time_point> timer_armed_at_;
 
   std::shared_ptr<CompletionQueue> completions_;
   std::vector<uint64_t> doomed_;  ///< conns to destroy after event sweep
@@ -262,6 +338,7 @@ class Loop {
   Histogram* const queue_wait_hist_;
   Histogram* const coalesce_wait_hist_;
   Histogram* const coalesce_batch_hist_;
+  std::array<Counter*, kNumDispatchReasons> dispatch_reason_{};
   ThreadPool pool_;
 };
 
@@ -291,6 +368,10 @@ void Loop::AcceptReady() {
       accept_rearm_at_.reset();
       return;
     }
+    // Replies go out as soon as they are written: Nagle would hold a
+    // reply to a pipelined request until the client ACKs the previous.
+    const int enable = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
     auto conn = std::make_unique<Conn>();
     conn->fd = client;
     conn->id = next_conn_id_++;
@@ -301,6 +382,7 @@ void Loop::AcceptReady() {
     ++accepted_;
     server_.NoteSessionStart();
     server_.transport().open_connections.Add(1);
+    SyncIdle(*conn);
     conns_.emplace(conn->id, std::move(conn));
   }
   if (!AcceptingMore() && !listener_disarmed_) {
@@ -316,6 +398,7 @@ void Loop::DestroyConn(uint64_t id) {
   epoll_event ev{};
   ::epoll_ctl(epfd_, EPOLL_CTL_DEL, it->second->fd, &ev);
   ::close(it->second->fd);
+  if (it->second->idle) --idle_conns_;
   conns_.erase(it);
   server_.transport().open_connections.Sub(1);
 }
@@ -323,6 +406,7 @@ void Loop::DestroyConn(uint64_t id) {
 Slot& Loop::NewSlot(Conn& conn) {
   conn.slots.push_back(Slot{conn.next_seq++, false, {}});
   ++conn.outstanding;
+  SyncIdle(conn);
   return conn.slots.back();
 }
 
@@ -330,6 +414,7 @@ void Loop::CompleteInline(Conn& conn, Slot& slot, std::string text) {
   slot.done = true;
   slot.text = std::move(text);
   --conn.outstanding;
+  SyncIdle(conn);
 }
 
 bool Loop::RejectIfOverloaded(Conn& conn, Slot& slot) {
@@ -379,6 +464,7 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
     Slot& slot = NewSlot(conn);
     CompleteInline(conn, slot, "BYE\n");
     conn.closing = true;  // replies before this slot still flush first
+    SyncIdle(conn);
     return;
   }
 
@@ -421,7 +507,9 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
       batch_deadline_ = SteadyClock::now() +
                         std::chrono::microseconds(options_.coalesce_us);
     }
-    if (pending_bounds_.size() >= options_.max_batch) DispatchBoundBatch();
+    if (pending_bounds_.size() >= options_.max_batch) {
+      DispatchBoundBatch(kMaxBatch);
+    }
     return;
   }
 
@@ -446,10 +534,11 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
   CompleteInline(conn, slot, out.str());
 }
 
-void Loop::DispatchBoundBatch() {
+void Loop::DispatchBoundBatch(DispatchReason reason) {
   if (pending_bounds_.empty()) return;
   batch_deadline_.reset();
   std::vector<PendingBound> batch = std::exchange(pending_bounds_, {});
+  dispatch_reason_[reason]->Increment();
   server_.transport().coalesced_batches.Increment();
   server_.transport().coalesced_requests.Increment(batch.size());
   server_.transport().max_batch.MaxWith(static_cast<int64_t>(batch.size()));
@@ -522,6 +611,7 @@ void Loop::FillSlot(Conn& conn, uint64_t seq, std::string text) {
       slot.done = true;
       slot.text = std::move(text);
       --conn.outstanding;
+      SyncIdle(conn);
     }
     break;
   }
@@ -587,6 +677,7 @@ void Loop::ProcessBuffered(Conn& conn) {
         "ERR INVALID_ARGUMENT request line exceeds " +
             std::to_string(TcpListener::kMaxRequestLineBytes) + " bytes\n");
     conn.discarding = true;
+    SyncIdle(conn);
     conn.discard_budget = 8 * TcpListener::kMaxRequestLineBytes;
     conn.rbuf.clear();
     conn.rbuf.shrink_to_fit();
@@ -605,6 +696,7 @@ void Loop::ReadReady(Conn& conn) {
     }
     if (n == 0) {
       conn.eof = true;
+      SyncIdle(conn);
       if (!conn.closing && !conn.discarding && !conn.rbuf.empty()) {
         // EOF with a residual un-terminated line still gets an answer —
         // stdio/TCP/event-loop parity.
@@ -637,10 +729,14 @@ void Loop::ReadReady(Conn& conn) {
 Status Loop::Run() {
   epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epfd_ < 0) return Status::Internal("epoll_create1 failed");
-  Status status = SetNonBlocking(listener_fd_);
+  timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
+  Status status = timer_fd_ < 0 ? Status::Internal("timerfd_create failed")
+                                : SetNonBlocking(listener_fd_);
   if (status.ok()) status = EpollAdd(listener_fd_, kListenerId, EPOLLIN);
   if (status.ok()) status = EpollAdd(wake_read_, kWakeId, EPOLLIN);
+  if (status.ok()) status = EpollAdd(timer_fd_, kTimerId, EPOLLIN);
   if (!status.ok()) {
+    if (timer_fd_ >= 0) ::close(timer_fd_);
     ::close(epfd_);
     return status;
   }
@@ -654,24 +750,10 @@ Status Loop::Run() {
       break;
     }
 
-    // The timeout is the nearest deadline: the coalescing window (sub-
-    // millisecond windows round up to 1 ms — epoll's granularity) or
-    // the accept re-arm after resource exhaustion.
-    int timeout_ms = -1;
-    const auto deadline_ms = [](SteadyClock::time_point at) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          at - SteadyClock::now());
-      return std::max<long long>(0, left.count() + 1);
-    };
-    if (batch_deadline_.has_value()) {
-      timeout_ms = static_cast<int>(deadline_ms(*batch_deadline_));
-    }
-    if (accept_rearm_at_.has_value()) {
-      const int rearm = static_cast<int>(deadline_ms(*accept_rearm_at_));
-      timeout_ms = timeout_ms < 0 ? rearm : std::min(timeout_ms, rearm);
-    }
-
-    const int n = ::epoll_wait(epfd_, events, 256, timeout_ms);
+    // Every deadline (the coalescing window, the accept re-arm after
+    // resource exhaustion) wakes the loop through the timer.
+    ArmTimer();
+    const int n = ::epoll_wait(epfd_, events, 256, -1);
     if (n < 0 && errno != EINTR) {
       status = Status::Internal(std::string("epoll_wait failed: ") +
                                 std::strerror(errno));
@@ -685,6 +767,10 @@ Status Loop::Run() {
       }
       if (id == kWakeId) {
         ApplyCompletions();
+        continue;
+      }
+      if (id == kTimerId) {
+        DrainTimer();
         continue;
       }
       Conn* conn = FindConn(id);
@@ -701,10 +787,6 @@ Status Loop::Run() {
     for (const uint64_t id : doomed_) DestroyConn(id);
     doomed_.clear();
 
-    if (batch_deadline_.has_value() &&
-        SteadyClock::now() >= *batch_deadline_) {
-      DispatchBoundBatch();
-    }
     if (accept_rearm_at_.has_value() &&
         SteadyClock::now() >= *accept_rearm_at_) {
       accept_rearm_at_.reset();
@@ -716,19 +798,30 @@ Status Loop::Run() {
         AcceptReady();
       }
     }
+    // The batch goes out when its window ends, or as soon as no open
+    // connection can add to it: each one still reading has a request
+    // unanswered. Decided only here, once per sweep, so every line of a
+    // pipelined burst read in this sweep was admitted or rejected first.
+    if (batch_deadline_.has_value() &&
+        SteadyClock::now() >= *batch_deadline_) {
+      DispatchBoundBatch(kWindow);
+    } else if (!pending_bounds_.empty() && idle_conns_ == 0) {
+      DispatchBoundBatch(kAllWaiting);
+    }
   }
 
   // Flush any batch still waiting on its window, then drain the pool so
   // no worker touches `server_` after Serve returns. Replies that never
   // made it out die with their connections (Shutdown semantics match
   // the legacy transport's disconnect-in-flight-sessions).
-  DispatchBoundBatch();
+  DispatchBoundBatch(kShutdown);
   pool_.Wait();
   for (auto& [id, conn] : conns_) {
     ::close(conn->fd);
     server_.transport().open_connections.Sub(1);
   }
   conns_.clear();
+  ::close(timer_fd_);
   ::close(epfd_);
   return status;
 }

@@ -61,9 +61,15 @@ class EventLoopListener {
     /// one client may pipeline. Beyond it: ERR UNAVAILABLE.
     size_t max_conn_pending = 64;
     /// Coalescing window: after the first pending BOUND arrives, the
-    /// loop waits up to this long for more before dispatching the
-    /// batch (0 = dispatch immediately, i.e. no cross-connection
-    /// batching beyond what one readable burst delivers).
+    /// loop waits at most this long for more before dispatching the
+    /// batch — an exact bound, timed by a timerfd, not rounded to
+    /// milliseconds (0 = dispatch immediately, i.e. no cross-connection
+    /// batching beyond what one readable burst delivers). The window
+    /// closes early, at the end of an event sweep, once no open
+    /// connection can add to the batch: every connection still reading
+    /// already has a request unanswered. One idle connection keeps it
+    /// open. pcx_coalesce_dispatch_total{reason="window|all_waiting|
+    /// max_batch|shutdown"} counts why each batch closed.
     uint32_t coalesce_us = 200;
     /// Dispatch a batch early once it reaches this many requests.
     size_t max_batch = 256;

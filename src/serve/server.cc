@@ -17,6 +17,7 @@
 #ifndef _WIN32
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -1074,6 +1075,10 @@ Status TcpListener::Serve(BoundServer& server, const ServeOptions& options) {
     }
     consecutive_failures = 0;
     ++served;
+    // A reply goes out as soon as it is written, not when the client
+    // ACKs the previous one (Nagle), so pipelined replies do not stall.
+    const int enable = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
     if (pool.has_value()) {
       // The worker keeps the registry alive even across a move of the
       // listener object itself.

@@ -21,6 +21,7 @@
 #include "pc/serialization.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "scratch_dir.h"
 
 namespace pcx {
 namespace {
@@ -126,7 +127,7 @@ void ExpectSameAnswer(const StatusOr<ResultRange>& expected,
 
 std::string WritePcSetFile(const PredicateConstraintSet& pcs,
                            const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = TestScratchDir() + "/" + name;
   std::ofstream out(path);
   out << SerializePcSet(pcs);
   return path;
@@ -138,7 +139,7 @@ std::string WriteSnapshotFile(const PredicateConstraintSet& pcs,
   const Partition partition =
       PartitionPcSet(pcs, {}, {shards, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, {}, partition, epoch);
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = TestScratchDir() + "/" + name;
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

@@ -27,6 +27,7 @@
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "scratch_dir.h"
 
 namespace pcx {
 namespace {
@@ -71,7 +72,7 @@ std::string WriteEpochSnapshot(uint64_t epoch, const std::string& tag) {
       PartitionPcSet(pcs, domains, {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, epoch);
   const std::string path =
-      testing::TempDir() + "/concurrent_" + tag + ".pcxsnap";
+      TestScratchDir() + "/concurrent_" + tag + ".pcxsnap";
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

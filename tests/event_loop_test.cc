@@ -1,14 +1,16 @@
-// Event-loop transport tests: cross-connection BOUND coalescing,
-// admission control (per-connection and global caps answering typed
-// ERR UNAVAILABLE), overload counters in STATS/HEALTH, full recovery
-// after an overload burst, and fd hygiene across many short sessions.
+// Event-loop transport tests: cross-connection BOUND coalescing, the
+// exact coalescing window and its early close, admission control
+// (per-connection and global caps answering typed ERR UNAVAILABLE),
+// overload counters in STATS/HEALTH, full recovery after an overload
+// burst, and fd hygiene across many short sessions.
 //
 // Determinism note exploited throughout: the loop applies solver
-// completions only on wake-pipe events, and dispatches a coalesced
-// batch only when its window expires (or it hits max_batch). So every
-// line of one pipelined send is admitted/rejected in one sweep with no
-// completions interleaved — which makes the expected reply sequence of
-// an overload burst exact, not probabilistic.
+// completions only on wake-pipe events, and decides whether to dispatch
+// a coalesced batch (window over, or no open connection left that could
+// add to it) only at the end of an event sweep — max_batch aside. So
+// every line of one pipelined send is admitted/rejected in one sweep
+// with no completions interleaved — which makes the expected reply
+// sequence of an overload burst exact, not probabilistic.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <optional>
 #include <string>
 #include <thread>
@@ -28,6 +31,7 @@
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "scratch_dir.h"
 
 namespace pcx {
 namespace {
@@ -60,7 +64,7 @@ std::string WriteTestSnapshot(const std::string& tag) {
       PartitionPcSet(pcs, domains, {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, 1);
   const std::string path =
-      testing::TempDir() + "/event_loop_" + tag + ".pcxsnap";
+      TestScratchDir() + "/event_loop_" + tag + ".pcxsnap";
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }
@@ -154,6 +158,24 @@ uint64_t CounterIn(const std::string& line, const std::string& key) {
   return std::strtoull(line.c_str() + at + needle.size(), nullptr, 10);
 }
 
+/// Blocks until the server has accepted `count` open connections, so a
+/// test's requests cannot race the accept of a later connection.
+void WaitForOpenConnections(EventLoopTestServer& server, int64_t count) {
+  for (int spin = 0; spin < 2000; ++spin) {
+    if (server.server().transport().open_connections.value() == count) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FAIL() << "server never reached " << count << " open connections";
+}
+
+/// Batches dispatched for `reason` (pcx_coalesce_dispatch_total).
+uint64_t DispatchCount(EventLoopTestServer& server, const std::string& reason) {
+  return server.server()
+      .metrics()
+      .GetCounter("pcx_coalesce_dispatch_total", {{"reason", reason}})
+      .value();
+}
+
 size_t OpenFdCount() {
   DIR* dir = ::opendir("/proc/self/fd");
   PCX_CHECK(dir != nullptr);
@@ -191,6 +213,95 @@ TEST(EventLoopTest, CoalescesBoundsAcrossConnections) {
   EXPECT_GT(CounterIn(stats, "max_batch"), 1u);
   EXPECT_EQ(CounterIn(stats, "overload_rejects"), 0u);
   EXPECT_EQ(CounterIn(stats, "queue_depth"), 0u);
+}
+
+TEST(EventLoopTest, BatchGoesOutOnceEveryConnectionIsWaiting) {
+  EventLoopListener::Options options;
+  options.solver_threads = 2;
+  // A window no test would sit out: the replies can only come back
+  // promptly if the batch closes as soon as every open connection has a
+  // request in it.
+  options.coalesce_us = 10'000'000;
+  EventLoopTestServer server(options, WriteTestSnapshot("all_waiting"));
+
+  constexpr size_t kClients = 5;
+  std::vector<int> fds;
+  for (size_t c = 0; c < kClients; ++c) {
+    fds.push_back(RawConnect(server.port()));
+  }
+  WaitForOpenConnections(server, kClients);
+  const auto start = std::chrono::steady_clock::now();
+  for (const int fd : fds) SendAll(fd, "BOUND COUNT 0\n");
+  for (const int fd : fds) EXPECT_EQ(RecvLines(fd, 1)[0], kCountReply);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  for (const int fd : fds) ::close(fd);
+
+  const std::string stats = QueryOneLine(server.port(), "STATS");
+  EXPECT_EQ(CounterIn(stats, "max_batch"), kClients);
+  EXPECT_EQ(CounterIn(stats, "coalesced_batches"), 1u);
+  EXPECT_EQ(DispatchCount(server, "all_waiting"), 1u);
+  EXPECT_EQ(DispatchCount(server, "window"), 0u);
+}
+
+TEST(EventLoopTest, IdleConnectionHoldsTheWindowOpen) {
+  EventLoopListener::Options options;
+  options.solver_threads = 2;
+  options.coalesce_us = 300'000;
+  EventLoopTestServer server(options, WriteTestSnapshot("idle_holds"));
+
+  // One more connection than requests: it could still send a BOUND, so
+  // the batch must wait out the whole window for it.
+  constexpr size_t kClients = 5;
+  const int idle = RawConnect(server.port());
+  std::vector<int> fds;
+  for (size_t c = 0; c < kClients; ++c) {
+    fds.push_back(RawConnect(server.port()));
+  }
+  WaitForOpenConnections(server, kClients + 1);
+  const auto start = std::chrono::steady_clock::now();
+  for (const int fd : fds) SendAll(fd, "BOUND COUNT 0\n");
+  EXPECT_EQ(RecvLines(fds[0], 1)[0], kCountReply);
+  // A lower bound only: the first reply cannot precede the window.
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(300));
+  for (size_t c = 1; c < kClients; ++c) {
+    EXPECT_EQ(RecvLines(fds[c], 1)[0], kCountReply);
+  }
+  for (const int fd : fds) ::close(fd);
+  ::close(idle);
+
+  const std::string stats = QueryOneLine(server.port(), "STATS");
+  EXPECT_EQ(CounterIn(stats, "max_batch"), kClients);
+  EXPECT_EQ(DispatchCount(server, "window"), 1u);
+  EXPECT_EQ(DispatchCount(server, "all_waiting"), 0u);
+}
+
+TEST(EventLoopTest, LoneWindowIsExactNotRoundedToMilliseconds) {
+  EventLoopListener::Options options;
+  options.solver_threads = 1;
+  options.coalesce_us = 200;
+  EventLoopTestServer server(options, WriteTestSnapshot("exact_window"));
+
+  // The idle connection keeps every window open for its full 200 us;
+  // each BOUND is alone in its batch.
+  const int idle = RawConnect(server.port());
+  const int fd = RawConnect(server.port());
+  WaitForOpenConnections(server, 2);
+  constexpr size_t kRequests = 20;
+  for (size_t i = 0; i < kRequests; ++i) {
+    SendAll(fd, "BOUND COUNT 0\n");
+    EXPECT_EQ(RecvLines(fd, 1)[0], kCountReply);
+  }
+  ::close(fd);
+  ::close(idle);
+
+  const Histogram& wait =
+      server.server().metrics().GetHistogram("pcx_coalesce_wait_us");
+  EXPECT_EQ(wait.count(), kRequests);
+  // A window rounded up to epoll's millisecond would put every wait at
+  // or above 1000 us.
+  EXPECT_LT(wait.Quantile(0.5), 1000.0);
+  EXPECT_EQ(DispatchCount(server, "window"), kRequests);
 }
 
 TEST(EventLoopTest, PerConnectionPendingCapRejectsWithTypedError) {
@@ -290,10 +401,7 @@ TEST(EventLoopTest, ManyShortSessionsLeakNoFdsOrCounters) {
   EXPECT_EQ(QueryOneLine(server.port(), "BOUND COUNT 0"), kCountReply);
   // The probe's server-side fd may linger an instant after the client
   // close returns; wait for open_conns to hit zero before baselining.
-  for (int spin = 0; spin < 200; ++spin) {
-    if (server.server().transport().open_connections.value() == 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  WaitForOpenConnections(server, 0);
   const size_t baseline = OpenFdCount();
 
   constexpr size_t kSessions = 40;

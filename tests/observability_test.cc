@@ -398,6 +398,13 @@ TEST(ReconciliationTest, EventLoopTransportCountsEveryVerbOnce) {
       text, "pcx_request_latency_us_count{verb=\"BOUND\"}");
   ASSERT_TRUE(bound_lat.has_value());
   EXPECT_EQ(*bound_lat, 2.0);
+  // Every coalesced batch is counted under exactly one dispatch reason.
+  const std::optional<double> batches =
+      SampleValue(text, "pcx_coalesced_batches_total");
+  ASSERT_TRUE(batches.has_value());
+  EXPECT_GE(*batches, 1.0);
+  EXPECT_EQ(SumFamilySamples(text, "pcx_coalesce_dispatch_total"), *batches)
+      << text;
 }
 
 TEST(ReconciliationTest, EventLoopTraceRoundTripAnnotates) {
