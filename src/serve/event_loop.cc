@@ -70,9 +70,14 @@ struct CompletionQueue {
   Mutex mu;
   std::vector<Completion> items GUARDED_BY(mu);
 
-  void Push(std::vector<Completion> batch) {
+  /// True when the queue was empty, i.e. the pusher must wake the loop.
+  /// A non-empty queue already has a wake on its way: the push that
+  /// made it non-empty sends one, and the loop empties the wake pipe
+  /// before it drains the queue, so no item is left behind unwoken.
+  [[nodiscard]] bool Push(Completion c) {
     MutexLock lock(mu);
-    for (Completion& c : batch) items.push_back(std::move(c));
+    items.push_back(std::move(c));
+    return items.size() == 1;
   }
   std::vector<Completion> Drain() {
     MutexLock lock(mu);
@@ -167,8 +172,9 @@ class Loop {
         completions_(std::make_shared<CompletionQueue>()),
         queue_wait_hist_(&server.metrics().GetHistogram(
             "pcx_queue_wait_us", {},
-            "Time from solver-queue admission to worker start "
-            "(microseconds)")),
+            "Time from solver-queue submission (a GROUPBY/LOAD's "
+            "admission, a coalesced BOUND batch's dispatch) to worker "
+            "start (microseconds)")),
         coalesce_wait_hist_(&server.metrics().GetHistogram(
             "pcx_coalesce_wait_us", {},
             "Time a BOUND waited in the coalescing window before batch "
@@ -242,8 +248,10 @@ class Loop {
     timer_armed_at_.reset();
   }
 
-  /// Wakes the loop from a pool worker (completions are ready).
-  void Wake() {
+  /// Hands a finished request to the loop from a pool worker, waking
+  /// the loop only when no wake is pending already.
+  void PushCompletion(Completion c) {
+    if (!completions_->Push(std::move(c))) return;
     const char byte = 1;
     ssize_t ignored = ::write(wake_write_, &byte, 1);
     (void)ignored;  // pipe full = a wake is already pending
@@ -446,8 +454,7 @@ void Loop::SubmitHandleLineTask(Conn& conn, Slot& slot, std::string line) {
     std::ostringstream out;
     server_.HandleLine(line, out, session.get());
     server_.transport().queue_depth.Sub(1);
-    completions_->Push({Completion{conn_id, seq, out.str()}});
-    Wake();
+    PushCompletion(Completion{conn_id, seq, out.str()});
   });
 }
 
@@ -546,50 +553,46 @@ void Loop::DispatchBoundBatch(DispatchReason reason) {
   for (const PendingBound& p : batch) {
     coalesce_wait_hist_->Observe(MicrosSince(p.enqueued));
   }
-  pool_.Submit([this, batch = std::move(batch)] {
+  pool_.Submit([this, batch = std::move(batch),
+                dispatched = SteadyClock::now()] {
+    const double queue_wait_us = MicrosSince(dispatched);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      queue_wait_hist_->Observe(queue_wait_us);
+    }
+    // Each reply goes back as soon as its own query is solved, not when
+    // the whole batch is: no request waits for the batch-mates solved
+    // after it. Per-request latency (admission to reply ready) feeds the
+    // same verb histogram and slow-query log the sequential path uses,
+    // routing diagnostics included.
+    auto reply = [&](size_t i, std::string text,
+                     const ShardedBoundSolver::RouteInfo* route) {
+      const PendingBound& p = batch[i];
+      server_.NoteRequestLatency("BOUND", p.line, MicrosSince(p.enqueued),
+                                 route);
+      server_.transport().queue_depth.Sub(1);
+      PushCompletion(Completion{p.conn_id, p.seq, std::move(text)});
+    };
     // Pin once for the whole batch: every reply it scatters is computed
     // at exactly this epoch, and BoundBatch is bit-identical to solving
     // the requests one by one.
     const std::shared_ptr<const ShardedBoundSolver> pinned = server_.solver();
-    std::vector<Completion> done;
-    done.reserve(batch.size());
     if (pinned == nullptr) {
       // A LOAD raced ahead of us and failed, or the server never had a
       // snapshot: same typed error the sequential path gives.
       const std::string err = FormatErrorReply(Status::FailedPrecondition(
           "no snapshot loaded (use LOAD <path>)"));
-      for (const PendingBound& p : batch) {
-        done.push_back(Completion{p.conn_id, p.seq, err});
-      }
-    } else {
-      std::vector<AggQuery> queries;
-      queries.reserve(batch.size());
-      for (const PendingBound& p : batch) queries.push_back(p.query);
-      std::vector<ShardedBoundSolver::RouteInfo> routes;
-      const std::vector<StatusOr<ResultRange>> results =
-          pinned->BoundBatch(queries, nullptr, &routes);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        done.push_back(Completion{batch[i].conn_id, batch[i].seq,
-                                  FormatRangeReply(results[i])});
-      }
-      // Per-request latency (admission to reply ready) feeds the same
-      // verb histogram and slow-query log the sequential path uses,
-      // routing diagnostics included.
-      for (size_t i = 0; i < batch.size(); ++i) {
-        server_.NoteRequestLatency("BOUND", batch[i].line,
-                                   MicrosSince(batch[i].enqueued), &routes[i]);
-      }
-      server_.transport().queue_depth.Sub(static_cast<int64_t>(done.size()));
-      completions_->Push(std::move(done));
-      Wake();
+      for (size_t i = 0; i < batch.size(); ++i) reply(i, err, nullptr);
       return;
     }
-    for (const PendingBound& p : batch) {
-      server_.NoteRequestLatency("BOUND", p.line, MicrosSince(p.enqueued));
-    }
-    server_.transport().queue_depth.Sub(static_cast<int64_t>(done.size()));
-    completions_->Push(std::move(done));
-    Wake();
+    std::vector<AggQuery> queries;
+    queries.reserve(batch.size());
+    for (const PendingBound& p : batch) queries.push_back(p.query);
+    (void)pinned->BoundBatch(
+        queries, nullptr,
+        [&](size_t i, const StatusOr<ResultRange>& result,
+            const ShardedBoundSolver::RouteInfo& route) {
+          reply(i, FormatRangeReply(result), &route);
+        });
   });
 }
 

@@ -18,12 +18,13 @@ namespace pcx {
 /// The loop exploits serving fan-in instead of merely surviving it:
 /// BOUND requests that arrive across *different* connections within a
 /// coalescing window (`coalesce_us`) are gathered into one
-/// ShardedBoundSolver::BoundBatch on a small solver pool, and the
-/// replies are scattered back to their connections afterwards. Batch
-/// execution pins the snapshot once, so every reply in a batch — like
-/// every reply on the legacy transport — is computed at exactly one
-/// epoch, and BoundBatch's bit-identity guarantee makes a coalesced
-/// answer byte-identical to a sequential one.
+/// ShardedBoundSolver::BoundBatch on a small solver pool. Each reply
+/// streams back to its connection as soon as its own query is solved,
+/// never waiting for the batch-mates solved after it. Batch execution
+/// pins the snapshot once, so every reply in a batch — like every reply
+/// on the legacy transport — is computed at exactly one epoch, and
+/// BoundBatch's bit-identity guarantee makes a coalesced answer
+/// byte-identical to a sequential one.
 ///
 /// Request/reply semantics are identical to TcpListener sessions by
 /// construction: everything except the BOUND fast path is answered by

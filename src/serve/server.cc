@@ -226,11 +226,6 @@ void BoundServer::NoteRequestVerb(const std::string& verb) {
   FindVerb(verb).count->Increment();
 }
 
-void BoundServer::NoteRequestLatency(const std::string& verb,
-                                     const std::string& line, double us) {
-  NoteRequestLatency(verb, line, us, nullptr);
-}
-
 void BoundServer::NoteRequestLatency(
     const std::string& verb, const std::string& line, double us,
     const ShardedBoundSolver::RouteInfo* route) {

@@ -213,8 +213,6 @@ class BoundServer {
   /// know about a slow BOUND is how wide it fanned and whether the
   /// compiled index dispatched it.
   void NoteRequestLatency(const std::string& verb, const std::string& line,
-                          double us);
-  void NoteRequestLatency(const std::string& verb, const std::string& line,
                           double us,
                           const ShardedBoundSolver::RouteInfo* route);
 

@@ -896,17 +896,18 @@ StatusOr<ResultRange> ShardedBoundSolver::Bound(const AggQuery& query,
 std::vector<StatusOr<ResultRange>> ShardedBoundSolver::BoundBatch(
     std::span<const AggQuery> queries,
     std::vector<PcBoundSolver::SolveStats>* per_query_stats,
-    std::vector<RouteInfo>* per_query_route) const {
+    const ResultCallback& on_result) const {
   std::vector<std::optional<StatusOr<ResultRange>>> slots(queries.size());
   std::vector<PcBoundSolver::SolveStats> stats(queries.size());
   std::vector<ServeStats> locals(queries.size());
-  std::vector<RouteInfo> routes(queries.size());
 
   // Per-query scatter fan-out stays sequential inside a batch worker —
   // the batch itself is the parallel axis (no nested pools).
   auto run_one = [&](size_t i) {
+    RouteInfo route;
     slots[i].emplace(BoundOne(queries[i], stats[i], locals[i],
-                              /*parallel=*/false, &routes[i]));
+                              /*parallel=*/false, &route));
+    if (on_result) on_result(i, *slots[i], route);
   };
   if (options_.num_threads == 1 || queries.size() <= 1) {
     for (size_t i = 0; i < queries.size(); ++i) run_one(i);
@@ -922,7 +923,6 @@ std::vector<StatusOr<ResultRange>> ShardedBoundSolver::BoundBatch(
   }
   MergeServeStats(total);
   if (per_query_stats != nullptr) *per_query_stats = std::move(stats);
-  if (per_query_route != nullptr) *per_query_route = std::move(routes);
 
   std::vector<StatusOr<ResultRange>> out;
   out.reserve(slots.size());

@@ -2,6 +2,7 @@
 #define PCX_SERVE_SHARDED_SOLVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -168,15 +169,25 @@ class ShardedBoundSolver {
   /// non-null) on the way.
   StatusOr<ResultRange> Bound(const AggQuery& query, RouteInfo* route) const;
 
+  /// Called once per query of a BoundBatch, on the thread that solved
+  /// it, right after that query is solved: its input index, its result
+  /// and its routing diagnostics.
+  using ResultCallback = std::function<void(
+      size_t index, const StatusOr<ResultRange>& result,
+      const RouteInfo& route)>;
+
   /// Routes and solves every query, fanned across the thread pool;
   /// results are in input order and bit-identical to calling Bound in a
-  /// loop. `per_query_stats` mirrors PcBoundSolver::BoundBatch;
-  /// `per_query_route`, when non-null, receives one RouteInfo per
-  /// query.
+  /// loop. `per_query_stats` mirrors PcBoundSolver::BoundBatch.
+  /// `on_result`, when set, hears about each query as soon as it is
+  /// solved rather than when the whole batch is — a caller can answer
+  /// it without waiting for its batch-mates. With num_threads != 1 it
+  /// is called from several threads at once. The serving stats are
+  /// still merged once, after the last query.
   std::vector<StatusOr<ResultRange>> BoundBatch(
       std::span<const AggQuery> queries,
       std::vector<PcBoundSolver::SolveStats>* per_query_stats = nullptr,
-      std::vector<RouteInfo>* per_query_route = nullptr) const;
+      const ResultCallback& on_result = nullptr) const;
 
   /// GROUP BY fan-out: one routed sub-query per group value (built by
   /// MakeGroupByQueries, byte-identical to pc/group_by's). Under a

@@ -28,6 +28,7 @@
 #include "serve/server.h"
 #include "serve/sharded_solver.h"
 #include "serve/snapshot.h"
+#include "scratch_dir.h"
 
 namespace pcx {
 namespace {
@@ -66,9 +67,9 @@ Snapshot SensorSnapshot(uint64_t epoch) {
   return MakeSnapshot(pcs, domains, p, epoch);
 }
 
-/// A fresh, empty directory under the test tmpdir.
+/// A fresh, empty directory under this test's scratch directory.
 std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/delta_log_" + name;
+  const std::string dir = TestScratchDir() + "/delta_log_" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }

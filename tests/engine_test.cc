@@ -11,6 +11,7 @@
 #include "pc/serialization.h"
 #include "serve/partitioner.h"
 #include "serve/snapshot.h"
+#include "scratch_dir.h"
 
 namespace pcx {
 namespace {
@@ -37,7 +38,7 @@ PredicateConstraintSet SalesSet() {
 
 std::string WritePcSetFile(const PredicateConstraintSet& pcs,
                            const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = TestScratchDir() + "/" + name;
   std::ofstream out(path);
   out << SerializePcSet(pcs);
   return path;
@@ -49,7 +50,7 @@ std::string WriteSnapshotFile(const PredicateConstraintSet& pcs,
   const Partition partition =
       PartitionPcSet(pcs, {}, {shards, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, {}, partition, epoch);
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = TestScratchDir() + "/" + name;
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

@@ -1,5 +1,8 @@
 // Event-loop transport tests: cross-connection BOUND coalescing, the
-// exact coalescing window and its early close, admission control
+// exact coalescing window and its early close, per-request streaming of
+// a batch's replies (a cheap request never waits on an expensive
+// batch-mate; one connection's replies stay in request order and
+// byte-identical to the unsharded solver's), admission control
 // (per-connection and global caps answering typed ERR UNAVAILABLE),
 // overload counters in STATS/HEALTH, full recovery after an overload
 // burst, and fd hygiene across many short sessions.
@@ -24,10 +27,13 @@
 
 #include <chrono>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/text.h"
+#include "pc/bound_solver.h"
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
@@ -72,6 +78,61 @@ std::string WriteTestSnapshot(const std::string& tag) {
 /// The expected reply to "BOUND COUNT 0" over SensorSet().
 constexpr const char* kCountReply =
     "RANGE lo=2 hi=9 defined=1 empty_possible=0\n";
+
+const std::vector<AttrDomain> kOverlapDomains = {
+    AttrDomain::kInteger, AttrDomain::kContinuous, AttrDomain::kContinuous};
+
+/// 40 heavily overlapping boxes over attributes 0 and 1, and one far
+/// constraint on its own at attribute 0 in [1000, 1023]. AVG over the
+/// whole set takes the MILP path over many cells (tens of ms or more);
+/// a COUNT inside the far box touches only the far constraint.
+PredicateConstraintSet OverlapSet() {
+  PredicateConstraintSet pcs;
+  for (int i = 0; i < 40; ++i) {
+    Predicate pred(3);
+    pred.AddRange(0, (i * 7) % 20, (i * 7) % 20 + 25);
+    pred.AddRange(1, (i * 11) % 17, (i * 11) % 17 + 25);
+    Box values(3);
+    values.Constrain(2, Interval::Closed(i % 5, 20 + (i * 3) % 13));
+    pcs.Add(PredicateConstraint(
+        pred, values,
+        {static_cast<double>(i % 3), static_cast<double>(3 + i % 7)}));
+  }
+  Predicate far(3);
+  far.AddRange(0, 1000, 1023);
+  Box values(3);
+  values.Constrain(2, Interval::Closed(0, 5));
+  pcs.Add(PredicateConstraint(far, values, {1, 2}));
+  return pcs;
+}
+
+std::string WriteOverlapSnapshot() {
+  const auto pcs = OverlapSet();
+  const Partition p = PartitionPcSet(pcs, kOverlapDomains,
+                                     {2, PartitionStrategy::kAttributeRange});
+  const std::string path = TestScratchDir() + "/event_loop_overlap.pcxsnap";
+  PCX_CHECK(WriteSnapshot(MakeSnapshot(pcs, kOverlapDomains, p, 1), path)
+                .ok());
+  return path;
+}
+
+constexpr const char* kExpensiveBound = "BOUND AVG 2";
+constexpr const char* kCheapBound = "BOUND COUNT 0 {0:[1000,1010]}";
+
+/// The reply the unsharded PcBoundSolver gives `request` over
+/// OverlapSet() — what the sharded, coalesced path must match byte for
+/// byte.
+std::string UnshardedReply(const std::string& request) {
+  const PcBoundSolver solver(OverlapSet(), kOverlapDomains);
+  const StatusOr<AggQuery> query =
+      ParseBoundRequest(SplitWhitespace(request), 3);
+  PCX_CHECK(query.ok()) << query.status();
+  const StatusOr<ResultRange> range = solver.Bound(*query);
+  PCX_CHECK(range.ok()) << range.status();
+  std::ostringstream out;
+  PrintResultRange(out, "RANGE ", *range);
+  return out.str();
+}
 
 class EventLoopTestServer {
  public:
@@ -166,6 +227,15 @@ void WaitForOpenConnections(EventLoopTestServer& server, int64_t count) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   FAIL() << "server never reached " << count << " open connections";
+}
+
+/// Blocks until `depth` requests are admitted and unanswered.
+void WaitForQueueDepth(EventLoopTestServer& server, int64_t depth) {
+  for (int spin = 0; spin < 2000; ++spin) {
+    if (server.server().transport().queue_depth.value() == depth) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FAIL() << "server never reached queue_depth " << depth;
 }
 
 /// Batches dispatched for `reason` (pcx_coalesce_dispatch_total).
@@ -302,6 +372,75 @@ TEST(EventLoopTest, LoneWindowIsExactNotRoundedToMilliseconds) {
   // or above 1000 us.
   EXPECT_LT(wait.Quantile(0.5), 1000.0);
   EXPECT_EQ(DispatchCount(server, "window"), kRequests);
+}
+
+TEST(EventLoopTest, CheapRepliesDoNotWaitForAnExpensiveBatchMate) {
+  const std::string cheap = UnshardedReply(kCheapBound);
+  const std::string expensive = UnshardedReply(kExpensiveBound);
+  EventLoopListener::Options options;
+  options.solver_threads = 1;
+  // The batch closes only once every connection is waiting: B-D's
+  // cheap requests are admitted first, then A's expensive one, so one
+  // batch holds all four and solves A's last.
+  options.coalesce_us = 10'000'000;
+  EventLoopTestServer server(options, WriteOverlapSnapshot());
+
+  const int a = RawConnect(server.port());
+  const std::vector<int> others = {RawConnect(server.port()),
+                                   RawConnect(server.port()),
+                                   RawConnect(server.port())};
+  WaitForOpenConnections(server, 4);
+  for (const int fd : others) SendAll(fd, std::string(kCheapBound) + "\n");
+  WaitForQueueDepth(server, 3);
+  SendAll(a, std::string(kExpensiveBound) + "\n");
+
+  for (const int fd : others) EXPECT_EQ(RecvLines(fd, 1)[0], cheap);
+  // B-D have their answers while A's request is still unanswered: the
+  // HEALTH reply (inline, after B's answer) still counts it as queued.
+  // Had the batch answered all four at once, the depth would read 0.
+  SendAll(others[0], "HEALTH\n");
+  EXPECT_EQ(CounterIn(RecvLines(others[0], 1)[0], "queue_depth"), 1u);
+  EXPECT_EQ(RecvLines(a, 1)[0], expensive);
+  for (const int fd : others) ::close(fd);
+  ::close(a);
+
+  const std::string stats = QueryOneLine(server.port(), "STATS");
+  EXPECT_EQ(CounterIn(stats, "coalesced_batches"), 1u);
+  EXPECT_EQ(CounterIn(stats, "max_batch"), 4u);
+  EXPECT_EQ(CounterIn(stats, "queue_depth"), 0u);
+}
+
+TEST(EventLoopTest, MixedBatchRepliesKeepRequestOrderAndIdentity) {
+  const std::vector<std::string> requests = {kExpensiveBound, kCheapBound,
+                                             kCheapBound};
+  std::vector<std::string> expected;
+  for (const std::string& r : requests) expected.push_back(UnshardedReply(r));
+  EventLoopListener::Options options;
+  // The idle connection holds the window open for its full length, so
+  // all three requests land in one batch. The batch fans out over the
+  // solver's own threads, so the cheap replies may be ready before the
+  // expensive one ahead of them.
+  options.coalesce_us = 100'000;
+  EventLoopTestServer server(options, WriteOverlapSnapshot());
+  const Histogram& latency = server.server().metrics().GetHistogram(
+      "pcx_request_latency_us", {{"verb", "BOUND"}});
+  const uint64_t latency_before = latency.count();
+
+  const int idle = RawConnect(server.port());
+  const int fd = RawConnect(server.port());
+  WaitForOpenConnections(server, 2);
+  std::string burst;
+  for (const std::string& r : requests) burst += r + "\n";
+  SendAll(fd, burst);
+  EXPECT_EQ(RecvLines(fd, requests.size()), expected);
+  ::close(fd);
+  ::close(idle);
+
+  // One latency observation per BOUND, each at its own completion.
+  EXPECT_EQ(latency.count() - latency_before, requests.size());
+  const std::string stats = QueryOneLine(server.port(), "STATS");
+  EXPECT_EQ(CounterIn(stats, "coalesced_batches"), 1u);
+  EXPECT_EQ(CounterIn(stats, "max_batch"), requests.size());
 }
 
 TEST(EventLoopTest, PerConnectionPendingCapRejectsWithTypedError) {

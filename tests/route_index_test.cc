@@ -20,6 +20,7 @@
 #include "serve/server.h"
 #include "serve/sharded_solver.h"
 #include "serve/snapshot.h"
+#include "scratch_dir.h"
 
 namespace pcx {
 namespace {
@@ -519,7 +520,7 @@ std::string WriteRoutingSnapshot() {
   const Partition p =
       PartitionPcSet(pcs, domains, {3, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, 7);
-  const std::string path = testing::TempDir() + "/route_index_test.pcxsnap";
+  const std::string path = TestScratchDir() + "/route_index_test.pcxsnap";
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }

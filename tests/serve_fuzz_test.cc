@@ -29,6 +29,7 @@
 #include "serve/event_loop.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "scratch_dir.h"
 
 namespace pcx {
 namespace {
@@ -66,7 +67,7 @@ std::string WriteFuzzSnapshot() {
   const Partition p =
       PartitionPcSet(pcs, domains, {2, PartitionStrategy::kAttributeRange});
   const Snapshot snap = MakeSnapshot(pcs, domains, p, 1);
-  const std::string path = testing::TempDir() + "/serve_fuzz.pcxsnap";
+  const std::string path = TestScratchDir() + "/serve_fuzz.pcxsnap";
   PCX_CHECK(WriteSnapshot(snap, path).ok());
   return path;
 }
