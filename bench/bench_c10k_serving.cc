@@ -202,7 +202,6 @@ void RunC10k(size_t clients, size_t rounds, const std::string& snapshot,
              bench::JsonEmitter& json) {
   EventLoopListener::Options options;
   options.solver_threads = 4;
-  options.coalesce_us = 2000;  // a fat window: let the fan-in pile up
   options.max_queue = clients * rounds + 16;
   options.max_conn_pending = rounds + 4;
   BenchServer server(options, snapshot);
@@ -272,7 +271,6 @@ void RunOverload(size_t clients, const std::string& snapshot,
   options.solver_threads = 1;
   options.max_queue = 16;  // tiny on purpose: the burst must overflow it
   options.max_conn_pending = 64;
-  options.coalesce_us = 20000;
   BenchServer server(options, snapshot);
 
   constexpr size_t kPipelined = 4;

@@ -7,10 +7,10 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "common/text.h"
 #include "pc/serialization.h"
 
@@ -87,59 +87,6 @@ StatusOr<DeltaLogHeader> ParseLogHeaderLine(const std::string& line,
                        TokenValue(tokens, "base_epoch"));
   PCX_ASSIGN_OR_RETURN(h.base_epoch, ParseU64(epoch_str));
   return h;
-}
-
-Status Fsync(int fd, const std::string& what) {
-  if (::fsync(fd) != 0) {
-    return Status::Internal("fsync(" + what +
-                            ") failed: " + std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-Status FsyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::Internal("open(" + dir +
-                            ") failed: " + std::strerror(errno));
-  }
-  Status s = Fsync(fd, dir);
-  ::close(fd);
-  return s;
-}
-
-Status WriteAll(int fd, const std::string& bytes, const std::string& what) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("write(" + what +
-                              ") failed: " + std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-/// Writes `bytes` to `path` durably via a same-directory tmp + rename.
-Status AtomicWriteFile(const std::string& dir, const std::string& path,
-                       const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::Internal("open(" + tmp +
-                            ") failed: " + std::strerror(errno));
-  }
-  Status s = WriteAll(fd, bytes, tmp);
-  if (s.ok()) s = Fsync(fd, tmp);
-  ::close(fd);
-  if (!s.ok()) return s;
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("rename(" + tmp + " -> " + path +
-                            ") failed: " + std::strerror(errno));
-  }
-  return FsyncDir(dir);
 }
 
 StatusOr<std::string> ReadFileBytes(const std::string& path) {
@@ -316,8 +263,7 @@ std::string DurableLogLogPath(const std::string& dir) {
 StatusOr<std::unique_ptr<DurableLog>> DurableLog::Open(const std::string& dir,
                                                        Recovered* out) {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::Internal("mkdir(" + dir +
-                            ") failed: " + std::strerror(errno));
+    return ErrnoStatus("mkdir", dir);
   }
   std::unique_ptr<DurableLog> log(new DurableLog(dir));
   Recovered recovered;
@@ -360,8 +306,7 @@ StatusOr<std::unique_ptr<DurableLog>> DurableLog::Open(const std::string& dir,
         // last *valid* record instead of interleaving with garbage.
         if (::truncate(log_path.c_str(),
                        static_cast<off_t>(replay.valid_bytes)) != 0) {
-          return Status::Internal("truncate(" + log_path +
-                                  ") failed: " + std::strerror(errno));
+          return ErrnoStatus("truncate", log_path);
         }
         recovered.dropped_records = replay.dropped_records;
         recovered.truncation_reason = replay.truncation_reason;
@@ -375,17 +320,14 @@ StatusOr<std::unique_ptr<DurableLog>> DurableLog::Open(const std::string& dir,
   if (need_fresh_log) {
     uint64_t crc = 0;
     PCX_RETURN_IF_ERROR(AtomicWriteFile(
-        dir, log_path, SerializeLogHeader(want, &crc) + "\n"));
+        log_path, SerializeLogHeader(want, &crc) + "\n"));
     log->header_ = want;
     log->chain_crc_ = crc;
     log->next_epoch_ = want.base_epoch + 1;
   }
 
   log->log_fd_ = ::open(log_path.c_str(), O_WRONLY | O_APPEND);
-  if (log->log_fd_ < 0) {
-    return Status::Internal("open(" + log_path +
-                            ") failed: " + std::strerror(errno));
-  }
+  if (log->log_fd_ < 0) return ErrnoStatus("open", log_path);
   if (out != nullptr) *out = std::move(recovered);
   return log;
 }
@@ -401,20 +343,17 @@ Status DurableLog::Reset(const Snapshot& snap) {
   // with the base as "reinitialize from base", so a crash between the
   // two renames recovers to exactly this snapshot.
   PCX_RETURN_IF_ERROR(
-      AtomicWriteFile(dir_, base_path, SerializeSnapshot(snap)));
+      AtomicWriteFile(base_path, SerializeSnapshot(snap)));
   DeltaLogHeader header;
   header.num_attrs = snap.num_attrs;
   header.domains = snap.domains;
   header.base_epoch = snap.epoch;
   uint64_t crc = 0;
   PCX_RETURN_IF_ERROR(AtomicWriteFile(
-      dir_, log_path, SerializeLogHeader(header, &crc) + "\n"));
+      log_path, SerializeLogHeader(header, &crc) + "\n"));
   if (log_fd_ >= 0) ::close(log_fd_);
   log_fd_ = ::open(log_path.c_str(), O_WRONLY | O_APPEND);
-  if (log_fd_ < 0) {
-    return Status::Internal("open(" + log_path +
-                            ") failed: " + std::strerror(errno));
-  }
+  if (log_fd_ < 0) return ErrnoStatus("open", log_path);
   header_ = std::move(header);
   chain_crc_ = crc;
   next_epoch_ = snap.epoch + 1;

@@ -36,7 +36,7 @@ namespace {
 using SteadyClock = std::chrono::steady_clock;
 
 /// epoll_event.data.u64 tags: the listener, the wake pipe and the
-/// deadline timer get fixed ids; connections count up from kFirstConnId
+/// accept re-arm timer get fixed ids; connections count up from kFirstConnId
 /// and are never reused, so a completion for a closed connection can
 /// only miss, never hit a recycled one.
 constexpr uint64_t kListenerId = 0;
@@ -44,16 +44,18 @@ constexpr uint64_t kWakeId = 1;
 constexpr uint64_t kTimerId = 2;
 constexpr uint64_t kFirstConnId = 3;
 
+/// How long accepting pauses after fd/memory exhaustion.
+constexpr std::chrono::nanoseconds kAcceptPause = std::chrono::milliseconds(50);
+
 /// Why a coalesced batch closed (pcx_coalesce_dispatch_total{reason}).
 enum DispatchReason : size_t {
-  kWindow,      ///< coalesce_us elapsed since the batch's first request
-  kAllWaiting,  ///< no open connection could add another request
+  kWorkerFree,  ///< a sweep ended with a pool worker free to solve it
   kMaxBatch,    ///< the batch reached max_batch requests
   kShutdown,    ///< Serve is returning
   kNumDispatchReasons
 };
 constexpr const char* kDispatchReasonLabels[kNumDispatchReasons] = {
-    "window", "all_waiting", "max_batch", "shutdown"};
+    "worker_free", "max_batch", "shutdown"};
 
 /// One finished async request: which connection, which reply slot, the
 /// reply text. Produced by pool workers, applied by the loop thread.
@@ -117,8 +119,6 @@ struct Conn {
   size_t discard_budget = 0;
   bool discarding = false;
   bool want_write = false;  ///< EPOLLOUT currently requested
-  /// Counted in Loop::idle_conns_: open for input, nothing unanswered.
-  bool idle = false;
   /// Per-connection protocol state (TRACE toggle). shared_ptr: pool
   /// workers capture it, so a connection destroyed with a request still
   /// in flight cannot dangle the worker's session pointer.
@@ -126,7 +126,7 @@ struct Conn {
       std::make_shared<BoundServer::Session>();
 };
 
-/// A BOUND admitted into the coalescing window, waiting for the batch.
+/// An admitted BOUND gathering batch-mates until a pool worker is free.
 struct PendingBound {
   uint64_t conn_id = 0;
   uint64_t seq = 0;
@@ -156,8 +156,8 @@ Status SetNonBlocking(int fd) {
 }
 
 /// The whole Serve invocation's state. Owned by the loop thread; the
-/// solver pool only ever touches `server`, `completions`, and the wake
-/// pipe (all thread-safe).
+/// solver pool only ever touches `server`, `completions`, the busy-worker
+/// count and the wake pipe (all thread-safe).
 class Loop {
  public:
   Loop(BoundServer& server, const EventLoopListener::Options& options,
@@ -177,8 +177,8 @@ class Loop {
             "start (microseconds)")),
         coalesce_wait_hist_(&server.metrics().GetHistogram(
             "pcx_coalesce_wait_us", {},
-            "Time a BOUND waited in the coalescing window before batch "
-            "dispatch (microseconds)")),
+            "Time a BOUND waited for its batch to be dispatched "
+            "(microseconds)")),
         coalesce_batch_hist_(&server.metrics().GetHistogram(
             "pcx_coalesce_batch_size", {},
             "Requests per dispatched coalesced BOUND batch")),
@@ -186,7 +186,7 @@ class Loop {
     for (size_t r = 0; r < kNumDispatchReasons; ++r) {
       dispatch_reason_[r] = &server.metrics().GetCounter(
           "pcx_coalesce_dispatch_total", {{"reason", kDispatchReasonLabels[r]}},
-          "Coalesced BOUND batches dispatched, by why the window closed");
+          "Coalesced BOUND batches dispatched, by why the batch closed");
     }
   }
 
@@ -216,64 +216,41 @@ class Loop {
     ::epoll_ctl(epfd_, EPOLL_CTL_MOD, conn.fd, &ev);
   }
 
-  /// Arms the timer at the nearer of the batch deadline and the accept
-  /// re-arm time, or disarms it when neither is set. The deadline is an
-  /// absolute CLOCK_MONOTONIC time (steady_clock's clock on Linux), so a
-  /// window lasts exactly coalesce_us instead of rounding up to epoll's
-  /// milliseconds.
-  void ArmTimer() {
-    std::optional<SteadyClock::time_point> at = batch_deadline_;
-    if (accept_rearm_at_.has_value() &&
-        (!at.has_value() || *accept_rearm_at_ < *at)) {
-      at = accept_rearm_at_;
-    }
-    if (at == timer_armed_at_) return;
-    timer_armed_at_ = at;
-    itimerspec spec{};  // all zero = disarmed
-    if (at.has_value()) {
-      const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             at->time_since_epoch())
-                             .count();
-      spec.it_value.tv_sec = static_cast<time_t>(ns / 1000000000);
-      spec.it_value.tv_nsec = static_cast<long>(ns % 1000000000);
-    }
-    ::timerfd_settime(timer_fd_, TFD_TIMER_ABSTIME, &spec, nullptr);
-  }
-
   /// Consumes a timer expiry (the timer is one-shot, so it is disarmed).
   void DrainTimer() {
     uint64_t expirations = 0;
     ssize_t ignored = ::read(timer_fd_, &expirations, sizeof(expirations));
     (void)ignored;  // EAGAIN = a stale wake-up; nothing to consume
-    timer_armed_at_.reset();
+  }
+
+  void Wake() {
+    const char byte = 1;
+    ssize_t ignored = ::write(wake_write_, &byte, 1);
+    (void)ignored;  // pipe full = a wake is already pending
   }
 
   /// Hands a finished request to the loop from a pool worker, waking
   /// the loop only when no wake is pending already.
   void PushCompletion(Completion c) {
-    if (!completions_->Push(std::move(c))) return;
-    const char byte = 1;
-    ssize_t ignored = ::write(wake_write_, &byte, 1);
-    (void)ignored;  // pipe full = a wake is already pending
+    if (completions_->Push(std::move(c))) Wake();
+  }
+
+  /// Runs `task` on the pool, counted busy until it ends. The task that
+  /// frees the first worker of a saturated pool wakes the loop: BOUNDs
+  /// gathered meanwhile wait for exactly that.
+  template <typename Task>
+  void SubmitToPool(Task task) {
+    busy_workers_.fetch_add(1);
+    pool_.Submit([this, task = std::move(task)] {
+      task();
+      if (busy_workers_.fetch_sub(1) == pool_.num_threads()) Wake();
+    });
   }
 
   // -- connection lifecycle -------------------------------------------
 
   void AcceptReady();
   void DestroyConn(uint64_t id);
-  /// Recounts `conn` in idle_conns_ after its outstanding count or its
-  /// input state (eof/closing/discarding) changed.
-  void SyncIdle(Conn& conn) {
-    const bool idle = conn.outstanding == 0 && !conn.closing && !conn.eof &&
-                      !conn.discarding;
-    if (idle == conn.idle) return;
-    conn.idle = idle;
-    if (idle) {
-      ++idle_conns_;
-    } else {
-      --idle_conns_;
-    }
-  }
   Conn* FindConn(uint64_t id) {
     const auto it = conns_.find(id);
     return it == conns_.end() ? nullptr : it->second.get();
@@ -330,15 +307,11 @@ class Loop {
   std::optional<SteadyClock::time_point> accept_rearm_at_;
 
   std::vector<PendingBound> pending_bounds_;
-  std::optional<SteadyClock::time_point> batch_deadline_;
-  /// Connections that could still add a request to the pending batch:
-  /// open for input with no request unanswered. Zero at the end of a
-  /// sweep means the batch cannot grow, so it goes out before its
-  /// window ends. Kept as a count so the check is O(1) at C10K.
-  size_t idle_conns_ = 0;
-  /// timerfd for the nearest deadline, and the time it is armed for.
+  /// Pool tasks submitted and not yet ended (queued ones included). A
+  /// pending batch goes out only while this is below the pool width.
+  std::atomic<size_t> busy_workers_{0};
+  /// One-shot timerfd that wakes the loop when an accept pause ends.
   int timer_fd_ = -1;
-  std::optional<SteadyClock::time_point> timer_armed_at_;
 
   std::shared_ptr<CompletionQueue> completions_;
   std::vector<uint64_t> doomed_;  ///< conns to destroy after event sweep
@@ -365,7 +338,10 @@ void Loop::AcceptReady() {
         epoll_event ev{};
         ::epoll_ctl(epfd_, EPOLL_CTL_DEL, listener_fd_, &ev);
         listener_disarmed_ = true;
-        accept_rearm_at_ = SteadyClock::now() + std::chrono::milliseconds(50);
+        accept_rearm_at_ = SteadyClock::now() + kAcceptPause;
+        itimerspec spec{};  // relative to now, like accept_rearm_at_
+        spec.it_value.tv_nsec = static_cast<long>(kAcceptPause.count());
+        ::timerfd_settime(timer_fd_, 0, &spec, nullptr);
         return;
       }
       // Persistent listener failure: stop accepting; existing
@@ -390,7 +366,6 @@ void Loop::AcceptReady() {
     ++accepted_;
     server_.NoteSessionStart();
     server_.transport().open_connections.Add(1);
-    SyncIdle(*conn);
     conns_.emplace(conn->id, std::move(conn));
   }
   if (!AcceptingMore() && !listener_disarmed_) {
@@ -406,7 +381,6 @@ void Loop::DestroyConn(uint64_t id) {
   epoll_event ev{};
   ::epoll_ctl(epfd_, EPOLL_CTL_DEL, it->second->fd, &ev);
   ::close(it->second->fd);
-  if (it->second->idle) --idle_conns_;
   conns_.erase(it);
   server_.transport().open_connections.Sub(1);
 }
@@ -414,7 +388,6 @@ void Loop::DestroyConn(uint64_t id) {
 Slot& Loop::NewSlot(Conn& conn) {
   conn.slots.push_back(Slot{conn.next_seq++, false, {}});
   ++conn.outstanding;
-  SyncIdle(conn);
   return conn.slots.back();
 }
 
@@ -422,7 +395,6 @@ void Loop::CompleteInline(Conn& conn, Slot& slot, std::string text) {
   slot.done = true;
   slot.text = std::move(text);
   --conn.outstanding;
-  SyncIdle(conn);
 }
 
 bool Loop::RejectIfOverloaded(Conn& conn, Slot& slot) {
@@ -444,7 +416,7 @@ bool Loop::RejectIfOverloaded(Conn& conn, Slot& slot) {
 
 void Loop::SubmitHandleLineTask(Conn& conn, Slot& slot, std::string line) {
   NoteQueued();
-  pool_.Submit([this, conn_id = conn.id, seq = slot.seq,
+  SubmitToPool([this, conn_id = conn.id, seq = slot.seq,
                 line = std::move(line), session = conn.session,
                 enqueued = SteadyClock::now()] {
     // HandleLine is thread-safe and does its own epoch pinning, so a
@@ -471,7 +443,6 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
     Slot& slot = NewSlot(conn);
     CompleteInline(conn, slot, "BYE\n");
     conn.closing = true;  // replies before this slot still flush first
-    SyncIdle(conn);
     return;
   }
 
@@ -510,10 +481,6 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
     pending_bounds_.push_back(PendingBound{conn.id, slot.seq,
                                            *std::move(query), line,
                                            SteadyClock::now()});
-    if (!batch_deadline_.has_value()) {
-      batch_deadline_ = SteadyClock::now() +
-                        std::chrono::microseconds(options_.coalesce_us);
-    }
     if (pending_bounds_.size() >= options_.max_batch) {
       DispatchBoundBatch(kMaxBatch);
     }
@@ -543,7 +510,6 @@ void Loop::DispatchLine(Conn& conn, const std::string& line) {
 
 void Loop::DispatchBoundBatch(DispatchReason reason) {
   if (pending_bounds_.empty()) return;
-  batch_deadline_.reset();
   std::vector<PendingBound> batch = std::exchange(pending_bounds_, {});
   dispatch_reason_[reason]->Increment();
   server_.transport().coalesced_batches.Increment();
@@ -553,7 +519,7 @@ void Loop::DispatchBoundBatch(DispatchReason reason) {
   for (const PendingBound& p : batch) {
     coalesce_wait_hist_->Observe(MicrosSince(p.enqueued));
   }
-  pool_.Submit([this, batch = std::move(batch),
+  SubmitToPool([this, batch = std::move(batch),
                 dispatched = SteadyClock::now()] {
     const double queue_wait_us = MicrosSince(dispatched);
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -614,7 +580,6 @@ void Loop::FillSlot(Conn& conn, uint64_t seq, std::string text) {
       slot.done = true;
       slot.text = std::move(text);
       --conn.outstanding;
-      SyncIdle(conn);
     }
     break;
   }
@@ -680,7 +645,6 @@ void Loop::ProcessBuffered(Conn& conn) {
         "ERR INVALID_ARGUMENT request line exceeds " +
             std::to_string(TcpListener::kMaxRequestLineBytes) + " bytes\n");
     conn.discarding = true;
-    SyncIdle(conn);
     conn.discard_budget = 8 * TcpListener::kMaxRequestLineBytes;
     conn.rbuf.clear();
     conn.rbuf.shrink_to_fit();
@@ -699,7 +663,6 @@ void Loop::ReadReady(Conn& conn) {
     }
     if (n == 0) {
       conn.eof = true;
-      SyncIdle(conn);
       if (!conn.closing && !conn.discarding && !conn.rbuf.empty()) {
         // EOF with a residual un-terminated line still gets an answer —
         // stdio/TCP/event-loop parity.
@@ -753,9 +716,6 @@ Status Loop::Run() {
       break;
     }
 
-    // Every deadline (the coalescing window, the accept re-arm after
-    // resource exhaustion) wakes the loop through the timer.
-    ArmTimer();
     const int n = ::epoll_wait(epfd_, events, 256, -1);
     if (n < 0 && errno != EINTR) {
       status = Status::Internal(std::string("epoll_wait failed: ") +
@@ -801,19 +761,19 @@ Status Loop::Run() {
         AcceptReady();
       }
     }
-    // The batch goes out when its window ends, or as soon as no open
-    // connection can add to it: each one still reading has a request
-    // unanswered. Decided only here, once per sweep, so every line of a
-    // pipelined burst read in this sweep was admitted or rejected first.
-    if (batch_deadline_.has_value() &&
-        SteadyClock::now() >= *batch_deadline_) {
-      DispatchBoundBatch(kWindow);
-    } else if (!pending_bounds_.empty() && idle_conns_ == 0) {
-      DispatchBoundBatch(kAllWaiting);
+    // Pending BOUNDs go out as one batch once a pool worker is free to
+    // solve them; while every worker is busy they keep gathering, and the
+    // task that frees one wakes the loop. No clock is involved: batches
+    // grow with load alone. Decided only here, once per sweep, so every
+    // line of a pipelined burst read in this sweep was admitted or
+    // rejected first.
+    if (!pending_bounds_.empty() &&
+        busy_workers_.load() < pool_.num_threads()) {
+      DispatchBoundBatch(kWorkerFree);
     }
   }
 
-  // Flush any batch still waiting on its window, then drain the pool so
+  // Flush any batch still gathering, then drain the pool so
   // no worker touches `server_` after Serve returns. Replies that never
   // made it out die with their connections (Shutdown semantics match
   // the legacy transport's disconnect-in-flight-sessions).

@@ -16,9 +16,11 @@ namespace pcx {
 /// thread-per-session TcpListener remains as the compatibility mode).
 ///
 /// The loop exploits serving fan-in instead of merely surviving it:
-/// BOUND requests that arrive across *different* connections within a
-/// coalescing window (`coalesce_us`) are gathered into one
-/// ShardedBoundSolver::BoundBatch on a small solver pool. Each reply
+/// BOUND requests that arrive across *different* connections while
+/// every solver-pool worker is busy are gathered into one
+/// ShardedBoundSolver::BoundBatch, dispatched at the end of the first
+/// event sweep that finds a worker free (an idle pool dispatches each
+/// sweep's BOUNDs at once; no clock is involved). Each reply
 /// streams back to its connection as soon as its own query is solved,
 /// never waiting for the batch-mates solved after it. Batch execution
 /// pins the snapshot once, so every reply in a batch — like every reply
@@ -53,7 +55,11 @@ class EventLoopListener {
     /// ended (0 = serve until Shutdown).
     size_t max_clients = 0;
     /// Workers executing coalesced BOUND batches and GROUPBY/LOAD
-    /// requests (0 = 2). The loop thread itself never solves.
+    /// requests (0 = 2). The loop thread itself never solves. Pending
+    /// BOUNDs are dispatched as one batch at the end of an event sweep
+    /// once fewer than this many pool tasks are running or queued, so
+    /// batches grow with load; pcx_coalesce_dispatch_total{reason=
+    /// "worker_free|max_batch|shutdown"} counts why each batch closed.
     size_t solver_threads = 2;
     /// Admission cap: BOUND/GROUPBY/LOAD requests admitted but not yet
     /// answered, across all connections. Beyond it: ERR UNAVAILABLE.
@@ -61,18 +67,8 @@ class EventLoopListener {
     /// Admission cap per connection: outstanding (unanswered) requests
     /// one client may pipeline. Beyond it: ERR UNAVAILABLE.
     size_t max_conn_pending = 64;
-    /// Coalescing window: after the first pending BOUND arrives, the
-    /// loop waits at most this long for more before dispatching the
-    /// batch — an exact bound, timed by a timerfd, not rounded to
-    /// milliseconds (0 = dispatch immediately, i.e. no cross-connection
-    /// batching beyond what one readable burst delivers). The window
-    /// closes early, at the end of an event sweep, once no open
-    /// connection can add to the batch: every connection still reading
-    /// already has a request unanswered. One idle connection keeps it
-    /// open. pcx_coalesce_dispatch_total{reason="window|all_waiting|
-    /// max_batch|shutdown"} counts why each batch closed.
-    uint32_t coalesce_us = 200;
-    /// Dispatch a batch early once it reaches this many requests.
+    /// Dispatch a batch within the sweep, workers busy or not, once it
+    /// reaches this many requests.
     size_t max_batch = 256;
   };
 

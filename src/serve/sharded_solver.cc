@@ -603,18 +603,32 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
   // An untouched shard's solver is reusable only if the *effective*
   // options a fresh build would apply to it are the options it was
   // built under — i.e. the full-set disjointness verdict is unchanged.
+  // The same holds for a memoized union whose shards are all untouched:
+  // it covers the same constraints in the same relative order.
   const bool verdict_now = configured_options_.solver.auto_disjoint_fast_path &&
                            partition.num_components == new_flat.size();
+  const bool reusable = verdict_now == flat_disjoint_;
   std::vector<std::shared_ptr<const PcBoundSolver>> reuse(shards_.size());
-  if (verdict_now == flat_disjoint_) {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (touched[s] == 0) reuse[s] = shards_[s].solver;
+  ShardMask touched_mask = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (touched[s] != 0) {
+      touched_mask |= ShardBit(s);
+    } else if (reusable) {
+      reuse[s] = shards_[s].solver;
     }
   }
 
-  return std::shared_ptr<const ShardedBoundSolver>(new ShardedBoundSolver(
+  auto* next = new ShardedBoundSolver(
       IncrementalTag{}, std::move(new_flat), domains_, configured_options_,
-      std::move(partition), epoch, reuse));
+      std::move(partition), epoch, reuse);
+  if (reusable) {
+    MutexLock from(cache_mu_);
+    MutexLock to(next->cache_mu_);
+    for (const auto& [mask, solver] : union_cache_) {
+      if ((mask & touched_mask) == 0) next->union_cache_.emplace(mask, solver);
+    }
+  }
+  return std::shared_ptr<const ShardedBoundSolver>(next);
 }
 
 ShardMask ShardedBoundSolver::RouteMask(const AggQuery& query) const {

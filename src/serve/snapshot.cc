@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/text.h"
 #include "pc/serialization.h"
@@ -336,14 +337,7 @@ StatusOr<Snapshot> ParseSnapshot(const std::string& text) {
 }
 
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::InvalidArgument("cannot open '" + path + "' for writing");
-  }
-  out << SerializeSnapshot(snapshot);
-  out.flush();
-  if (!out) return Status::Internal("short write to '" + path + "'");
-  return Status::OK();
+  return AtomicWriteFile(path, SerializeSnapshot(snapshot));
 }
 
 StatusOr<Snapshot> LoadSnapshot(const std::string& path) {

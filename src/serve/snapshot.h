@@ -71,6 +71,8 @@ std::string SerializeSnapshot(const Snapshot& snapshot);
 /// offending shard/line otherwise.
 StatusOr<Snapshot> ParseSnapshot(const std::string& text);
 
+/// Replaces `path` crash-safely (AtomicWriteFile): a crash or failed
+/// write leaves any existing snapshot there byte-identical.
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path);
 StatusOr<Snapshot> LoadSnapshot(const std::string& path);
 

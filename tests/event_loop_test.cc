@@ -1,19 +1,22 @@
-// Event-loop transport tests: cross-connection BOUND coalescing, the
-// exact coalescing window and its early close, per-request streaming of
-// a batch's replies (a cheap request never waits on an expensive
-// batch-mate; one connection's replies stay in request order and
-// byte-identical to the unsharded solver's), admission control
-// (per-connection and global caps answering typed ERR UNAVAILABLE),
-// overload counters in STATS/HEALTH, full recovery after an overload
-// burst, and fd hygiene across many short sessions.
+// Event-loop transport tests: cross-connection BOUND coalescing while
+// every solver worker is busy, prompt dispatch while one is free (an
+// idle connection delays nothing), per-request streaming of a batch's
+// replies (a cheap request never waits on an expensive batch-mate; one
+// connection's replies stay in request order and byte-identical to the
+// unsharded solver's), admission control (per-connection and global
+// caps answering typed ERR UNAVAILABLE), overload counters in
+// STATS/HEALTH, full recovery after an overload burst, and fd hygiene
+// across many short sessions.
 //
-// Determinism note exploited throughout: the loop applies solver
+// Determinism notes exploited throughout: the loop applies solver
 // completions only on wake-pipe events, and decides whether to dispatch
-// a coalesced batch (window over, or no open connection left that could
-// add to it) only at the end of an event sweep — max_batch aside. So
-// every line of one pipelined send is admitted/rejected in one sweep
-// with no completions interleaved — which makes the expected reply
-// sequence of an overload burst exact, not probabilistic.
+// the pending BOUNDs (only if a pool worker is free) only at the end of
+// an event sweep — max_batch aside. So every line of one pipelined send
+// is admitted/rejected in one sweep with no completions interleaved —
+// which makes the expected reply sequence of an overload burst exact,
+// not probabilistic. And a blocker (StartBlocker: one kExpensiveBound,
+// tens of ms or more) holds a pool worker busy, so BOUNDs sent while it
+// runs gather into one batch instead of racing the dispatch.
 
 #include <gtest/gtest.h>
 
@@ -246,6 +249,23 @@ uint64_t DispatchCount(EventLoopTestServer& server, const std::string& reason) {
       .value();
 }
 
+/// Occupies one pool worker: sends kExpensiveBound on a new connection
+/// and returns that connection once the request's one-element batch is
+/// dispatched, so BOUNDs sent afterwards arrive while the worker is
+/// busy. The caller reads the blocker's reply and closes it.
+int StartBlocker(EventLoopTestServer& server) {
+  const Counter& batches = server.server().transport().coalesced_batches;
+  const uint64_t before = batches.value();
+  const int fd = RawConnect(server.port());
+  SendAll(fd, std::string(kExpensiveBound) + "\n");
+  for (int spin = 0; spin < 2000; ++spin) {
+    if (batches.value() > before) return fd;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ADD_FAILURE() << "the blocker was never dispatched";
+  return fd;
+}
+
 size_t OpenFdCount() {
   DIR* dir = ::opendir("/proc/self/fd");
   PCX_CHECK(dir != nullptr);
@@ -256,27 +276,34 @@ size_t OpenFdCount() {
 }
 
 TEST(EventLoopTest, CoalescesBoundsAcrossConnections) {
+  const std::string cheap = UnshardedReply(kCheapBound);
+  const std::string expensive = UnshardedReply(kExpensiveBound);
   EventLoopListener::Options options;
   options.solver_threads = 2;
-  // A generous window: all five clients' requests land inside it, so
-  // the coalescer must fold requests from *different* connections into
-  // one batch.
-  options.coalesce_us = 50000;
-  EventLoopTestServer server(options, WriteTestSnapshot("coalesce"));
+  EventLoopTestServer server(options, WriteOverlapSnapshot());
 
+  // Both workers busy: all five clients' requests arrive while no
+  // worker is free, so the coalescer must fold requests from
+  // *different* connections into one batch.
+  const std::vector<int> blockers = {StartBlocker(server),
+                                     StartBlocker(server)};
   constexpr size_t kClients = 5;
   std::vector<int> fds;
   for (size_t c = 0; c < kClients; ++c) {
     fds.push_back(RawConnect(server.port()));
   }
-  for (const int fd : fds) SendAll(fd, "BOUND COUNT 0\n");
+  for (const int fd : fds) SendAll(fd, std::string(kCheapBound) + "\n");
   for (const int fd : fds) {
-    EXPECT_EQ(RecvLines(fd, 1)[0], kCountReply);
+    EXPECT_EQ(RecvLines(fd, 1)[0], cheap);
+    ::close(fd);
+  }
+  for (const int fd : blockers) {
+    EXPECT_EQ(RecvLines(fd, 1)[0], expensive);
     ::close(fd);
   }
 
   const std::string stats = QueryOneLine(server.port(), "STATS");
-  EXPECT_EQ(CounterIn(stats, "coalesced_reqs"), kClients);
+  EXPECT_EQ(CounterIn(stats, "coalesced_reqs"), kClients + blockers.size());
   EXPECT_GE(CounterIn(stats, "coalesced_batches"), 1u);
   // The acceptance signal of the whole design: at least one batch held
   // requests from more than one connection.
@@ -285,75 +312,45 @@ TEST(EventLoopTest, CoalescesBoundsAcrossConnections) {
   EXPECT_EQ(CounterIn(stats, "queue_depth"), 0u);
 }
 
-TEST(EventLoopTest, BatchGoesOutOnceEveryConnectionIsWaiting) {
-  EventLoopListener::Options options;
-  options.solver_threads = 2;
-  // A window no test would sit out: the replies can only come back
-  // promptly if the batch closes as soon as every open connection has a
-  // request in it.
-  options.coalesce_us = 10'000'000;
-  EventLoopTestServer server(options, WriteTestSnapshot("all_waiting"));
-
-  constexpr size_t kClients = 5;
-  std::vector<int> fds;
-  for (size_t c = 0; c < kClients; ++c) {
-    fds.push_back(RawConnect(server.port()));
-  }
-  WaitForOpenConnections(server, kClients);
-  const auto start = std::chrono::steady_clock::now();
-  for (const int fd : fds) SendAll(fd, "BOUND COUNT 0\n");
-  for (const int fd : fds) EXPECT_EQ(RecvLines(fd, 1)[0], kCountReply);
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
-  for (const int fd : fds) ::close(fd);
-
-  const std::string stats = QueryOneLine(server.port(), "STATS");
-  EXPECT_EQ(CounterIn(stats, "max_batch"), kClients);
-  EXPECT_EQ(CounterIn(stats, "coalesced_batches"), 1u);
-  EXPECT_EQ(DispatchCount(server, "all_waiting"), 1u);
-  EXPECT_EQ(DispatchCount(server, "window"), 0u);
-}
-
-TEST(EventLoopTest, IdleConnectionHoldsTheWindowOpen) {
-  EventLoopListener::Options options;
-  options.solver_threads = 2;
-  options.coalesce_us = 300'000;
-  EventLoopTestServer server(options, WriteTestSnapshot("idle_holds"));
-
-  // One more connection than requests: it could still send a BOUND, so
-  // the batch must wait out the whole window for it.
-  constexpr size_t kClients = 5;
-  const int idle = RawConnect(server.port());
-  std::vector<int> fds;
-  for (size_t c = 0; c < kClients; ++c) {
-    fds.push_back(RawConnect(server.port()));
-  }
-  WaitForOpenConnections(server, kClients + 1);
-  const auto start = std::chrono::steady_clock::now();
-  for (const int fd : fds) SendAll(fd, "BOUND COUNT 0\n");
-  EXPECT_EQ(RecvLines(fds[0], 1)[0], kCountReply);
-  // A lower bound only: the first reply cannot precede the window.
-  EXPECT_GE(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(300));
-  for (size_t c = 1; c < kClients; ++c) {
-    EXPECT_EQ(RecvLines(fds[c], 1)[0], kCountReply);
-  }
-  for (const int fd : fds) ::close(fd);
-  ::close(idle);
-
-  const std::string stats = QueryOneLine(server.port(), "STATS");
-  EXPECT_EQ(CounterIn(stats, "max_batch"), kClients);
-  EXPECT_EQ(DispatchCount(server, "window"), 1u);
-  EXPECT_EQ(DispatchCount(server, "all_waiting"), 0u);
-}
-
-TEST(EventLoopTest, LoneWindowIsExactNotRoundedToMilliseconds) {
+TEST(EventLoopTest, RequestsArrivingWhileEveryWorkerIsBusyShareOneBatch) {
+  const std::string cheap = UnshardedReply(kCheapBound);
   EventLoopListener::Options options;
   options.solver_threads = 1;
-  options.coalesce_us = 200;
-  EventLoopTestServer server(options, WriteTestSnapshot("exact_window"));
+  EventLoopTestServer server(options, WriteOverlapSnapshot());
 
-  // The idle connection keeps every window open for its full 200 us;
-  // each BOUND is alone in its batch.
+  const int blocker = StartBlocker(server);
+  constexpr size_t kClients = 5;
+  std::vector<int> fds;
+  for (size_t c = 0; c < kClients; ++c) {
+    fds.push_back(RawConnect(server.port()));
+  }
+  for (const int fd : fds) SendAll(fd, std::string(kCheapBound) + "\n");
+  // All five admitted and still pending behind the blocker.
+  WaitForQueueDepth(server, 1 + kClients);
+  for (const int fd : fds) {
+    EXPECT_EQ(RecvLines(fd, 1)[0], cheap);
+    ::close(fd);
+  }
+  EXPECT_EQ(RecvLines(blocker, 1)[0], UnshardedReply(kExpensiveBound));
+  ::close(blocker);
+
+  // The blocker's batch, then one batch of all five, each dispatched as
+  // soon as the one worker was free.
+  const std::string stats = QueryOneLine(server.port(), "STATS");
+  EXPECT_EQ(CounterIn(stats, "max_batch"), kClients);
+  EXPECT_EQ(CounterIn(stats, "coalesced_batches"), 2u);
+  EXPECT_EQ(DispatchCount(server, "worker_free"), 2u);
+  EXPECT_EQ(DispatchCount(server, "max_batch"), 0u);
+}
+
+TEST(EventLoopTest, IdleConnectionDoesNotDelayABound) {
+  EventLoopListener::Options options;
+  options.solver_threads = 1;
+  EventLoopTestServer server(options, WriteTestSnapshot("idle_no_delay"));
+
+  // An open connection that never sends cannot hold a BOUND back: each
+  // one goes out at the end of the sweep that read it, alone in its
+  // batch, because the worker is free.
   const int idle = RawConnect(server.port());
   const int fd = RawConnect(server.port());
   WaitForOpenConnections(server, 2);
@@ -368,10 +365,8 @@ TEST(EventLoopTest, LoneWindowIsExactNotRoundedToMilliseconds) {
   const Histogram& wait =
       server.server().metrics().GetHistogram("pcx_coalesce_wait_us");
   EXPECT_EQ(wait.count(), kRequests);
-  // A window rounded up to epoll's millisecond would put every wait at
-  // or above 1000 us.
   EXPECT_LT(wait.Quantile(0.5), 1000.0);
-  EXPECT_EQ(DispatchCount(server, "window"), kRequests);
+  EXPECT_EQ(DispatchCount(server, "worker_free"), kRequests);
 }
 
 TEST(EventLoopTest, CheapRepliesDoNotWaitForAnExpensiveBatchMate) {
@@ -379,10 +374,6 @@ TEST(EventLoopTest, CheapRepliesDoNotWaitForAnExpensiveBatchMate) {
   const std::string expensive = UnshardedReply(kExpensiveBound);
   EventLoopListener::Options options;
   options.solver_threads = 1;
-  // The batch closes only once every connection is waiting: B-D's
-  // cheap requests are admitted first, then A's expensive one, so one
-  // batch holds all four and solves A's last.
-  options.coalesce_us = 10'000'000;
   EventLoopTestServer server(options, WriteOverlapSnapshot());
 
   const int a = RawConnect(server.port());
@@ -390,9 +381,16 @@ TEST(EventLoopTest, CheapRepliesDoNotWaitForAnExpensiveBatchMate) {
                                    RawConnect(server.port()),
                                    RawConnect(server.port())};
   WaitForOpenConnections(server, 4);
+  // While the blocker holds the one worker, B-D's cheap requests are
+  // admitted first, then A's expensive one, so one batch holds all four
+  // and solves A's last.
+  const int blocker = StartBlocker(server);
   for (const int fd : others) SendAll(fd, std::string(kCheapBound) + "\n");
-  WaitForQueueDepth(server, 3);
+  WaitForQueueDepth(server, 4);
   SendAll(a, std::string(kExpensiveBound) + "\n");
+  WaitForQueueDepth(server, 5);
+  EXPECT_EQ(RecvLines(blocker, 1)[0], expensive);
+  ::close(blocker);
 
   for (const int fd : others) EXPECT_EQ(RecvLines(fd, 1)[0], cheap);
   // B-D have their answers while A's request is still unanswered: the
@@ -404,8 +402,9 @@ TEST(EventLoopTest, CheapRepliesDoNotWaitForAnExpensiveBatchMate) {
   for (const int fd : others) ::close(fd);
   ::close(a);
 
+  // The blocker's batch, then B-D and A's.
   const std::string stats = QueryOneLine(server.port(), "STATS");
-  EXPECT_EQ(CounterIn(stats, "coalesced_batches"), 1u);
+  EXPECT_EQ(CounterIn(stats, "coalesced_batches"), 2u);
   EXPECT_EQ(CounterIn(stats, "max_batch"), 4u);
   EXPECT_EQ(CounterIn(stats, "queue_depth"), 0u);
 }
@@ -416,25 +415,21 @@ TEST(EventLoopTest, MixedBatchRepliesKeepRequestOrderAndIdentity) {
   std::vector<std::string> expected;
   for (const std::string& r : requests) expected.push_back(UnshardedReply(r));
   EventLoopListener::Options options;
-  // The idle connection holds the window open for its full length, so
-  // all three requests land in one batch. The batch fans out over the
-  // solver's own threads, so the cheap replies may be ready before the
-  // expensive one ahead of them.
-  options.coalesce_us = 100'000;
+  // One pipelined send is read and admitted in one sweep, so all three
+  // requests land in one batch. The batch fans out over the solver's
+  // own threads, so the cheap replies may be ready before the expensive
+  // one ahead of them.
   EventLoopTestServer server(options, WriteOverlapSnapshot());
   const Histogram& latency = server.server().metrics().GetHistogram(
       "pcx_request_latency_us", {{"verb", "BOUND"}});
   const uint64_t latency_before = latency.count();
 
-  const int idle = RawConnect(server.port());
   const int fd = RawConnect(server.port());
-  WaitForOpenConnections(server, 2);
   std::string burst;
   for (const std::string& r : requests) burst += r + "\n";
   SendAll(fd, burst);
   EXPECT_EQ(RecvLines(fd, requests.size()), expected);
   ::close(fd);
-  ::close(idle);
 
   // One latency observation per BOUND, each at its own completion.
   EXPECT_EQ(latency.count() - latency_before, requests.size());
@@ -447,13 +442,13 @@ TEST(EventLoopTest, PerConnectionPendingCapRejectsWithTypedError) {
   EventLoopListener::Options options;
   options.solver_threads = 1;
   options.max_conn_pending = 2;
-  options.coalesce_us = 20000;  // holds the admitted pair in the window
   EventLoopTestServer server(options, WriteTestSnapshot("conncap"));
 
-  // Five pipelined BOUNDs in one send: the first two are admitted into
-  // the (still-open) coalescing window, the last three exceed the
-  // per-connection cap. Replies come back in request order: two RANGEs
-  // once the batch solves, then the three typed rejections.
+  // Five pipelined BOUNDs in one send, read in one sweep: the first two
+  // are admitted (their batch goes out only when the sweep ends), the
+  // last three exceed the per-connection cap. Replies come back in
+  // request order: two RANGEs once the batch solves, then the three
+  // typed rejections.
   const int fd = RawConnect(server.port());
   std::string burst;
   for (int i = 0; i < 5; ++i) burst += "BOUND COUNT 0\n";
@@ -481,7 +476,6 @@ TEST(EventLoopTest, GlobalQueueCapRejectsAndFullyRecovers) {
   options.solver_threads = 1;
   options.max_queue = 1;
   options.max_conn_pending = 64;
-  options.coalesce_us = 20000;
   EventLoopTestServer server(options, WriteTestSnapshot("queuecap"));
 
   // One admitted BOUND saturates max_queue=1; the two behind it in the
@@ -510,7 +504,6 @@ TEST(EventLoopTest, GroupByCountsAgainstAdmissionToo) {
   EventLoopListener::Options options;
   options.solver_threads = 1;
   options.max_conn_pending = 1;
-  options.coalesce_us = 20000;
   EventLoopTestServer server(options, WriteTestSnapshot("groupcap"));
 
   // A BOUND holds the one pending slot; the GROUPBY behind it must be
@@ -533,7 +526,6 @@ TEST(EventLoopTest, GroupByCountsAgainstAdmissionToo) {
 TEST(EventLoopTest, ManyShortSessionsLeakNoFdsOrCounters) {
   EventLoopListener::Options options;
   options.solver_threads = 2;
-  options.coalesce_us = 0;  // latency over batching: solo client anyway
   EventLoopTestServer server(options, WriteTestSnapshot("fds"));
 
   // Settle: one probe session, then snapshot the process fd count.

@@ -374,7 +374,6 @@ TEST(ReconciliationTest, EventLoopTransportCountsEveryVerbOnce) {
   std::thread serve([&] {
     EventLoopListener::Options options;
     options.max_clients = 1;
-    options.coalesce_us = 100;  // exercise the coalesced BOUND path
     (void)listener->Serve(server, options);
   });
   const int fd = RawConnect(port);

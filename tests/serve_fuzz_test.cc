@@ -82,7 +82,6 @@ class FuzzTestServer {
       event_listener_.emplace(std::move(listener).value());
       EventLoopListener::Options options;
       options.solver_threads = 2;
-      options.coalesce_us = 100;
       thread_ = std::thread([this, options] {
         serve_status_ = event_listener_->Serve(server_, options);
       });

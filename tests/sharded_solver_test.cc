@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "baselines/pc_estimator.h"
@@ -299,6 +300,82 @@ TEST(ShardedSolverTest, RoutingStatsAndUnionMemoization) {
   outside.AddRange(0, -900.0, -800.0);
   ASSERT_TRUE(sharded.Bound(AggQuery::Count(outside)).ok());
   EXPECT_EQ(sharded.stats().no_shard_queries, 1u);
+}
+
+/// One constraint on attribute 0 over [p_lo, p_hi], values of
+/// attribute 1 in [0, 5], 1..3 rows.
+PredicateConstraint BoxPc(double p_lo, double p_hi) {
+  Predicate pred(2);
+  pred.AddRange(0, p_lo, p_hi);
+  Box values(2);
+  values.Constrain(1, Interval::Closed(0.0, 5.0));
+  return PredicateConstraint(pred, values, {1.0, 3.0});
+}
+
+DeltaRecord Append(uint64_t epoch, double p_lo, double p_hi) {
+  DeltaRecord rec;
+  rec.epoch = epoch;
+  rec.op = DeltaOp::kAppend;
+  rec.pc = BoxPc(p_lo, p_hi);
+  return rec;
+}
+
+TEST(ShardedSolverTest, ApplyDeltasCarriesOnlyUntouchedUnionSolvers) {
+  // Four far-apart clusters, one per shard. `overlapping` adds a second
+  // constraint to the last cluster, so the set is not pairwise disjoint.
+  auto make = [](bool overlapping) {
+    PredicateConstraintSet pcs;
+    for (int c = 0; c < 4; ++c) pcs.Add(BoxPc(1000.0 * c, 1000.0 * c + 10));
+    if (overlapping) pcs.Add(BoxPc(3005.0, 3015.0));
+    ShardedBoundSolver::Options opts;
+    opts.partition = {4, PartitionStrategy::kAttributeRange};
+    return std::make_shared<const ShardedBoundSolver>(pcs,
+                                                      std::vector<AttrDomain>{},
+                                                      opts);
+  };
+  // Spans the first two clusters' shards: a union solver.
+  Predicate span(2);
+  span.AddRange(0, 0.0, 1500.0);
+  const AggQuery query = AggQuery::Sum(1, span);
+  // Answers `query` on `solver`, checks it against a fresh unsharded
+  // solver over the same set, and returns the union solvers it built.
+  auto unions_built = [&](const ShardedBoundSolver& solver,
+                          const std::string& context) {
+    const PcBoundSolver reference(solver.constraints(), {});
+    ExpectSameAnswer(reference.Bound(query), solver.Bound(query), context);
+    return solver.stats().union_solvers_built;
+  };
+  auto apply = [](const ShardedBoundSolver& solver, DeltaRecord rec) {
+    auto next = solver.ApplyDeltas(std::vector<DeltaRecord>{std::move(rec)});
+    PCX_CHECK(next.ok()) << next.status();
+    return *std::move(next);
+  };
+
+  const auto base = make(/*overlapping=*/true);
+  ASSERT_EQ(unions_built(*base, "base"), 1u);
+
+  // An append into the last cluster, away from the union: the memoized
+  // union comes along instead of being rebuilt.
+  const auto away = apply(*base, Append(base->epoch() + 1, 3008.0, 3012.0));
+  EXPECT_EQ(unions_built(*away, "append away"), 0u);
+
+  // An append into the first cluster changes the union's members.
+  const auto into = apply(*base, Append(base->epoch() + 1, 2.0, 8.0));
+  EXPECT_EQ(unions_built(*into, "append into"), 1u);
+
+  // A CHECKPOINT re-partitions, so no union is carried across it.
+  DeltaRecord checkpoint;
+  checkpoint.epoch = base->epoch() + 1;
+  checkpoint.op = DeltaOp::kCheckpoint;
+  EXPECT_EQ(unions_built(*apply(*base, checkpoint), "checkpoint"), 1u);
+
+  // A disjoint set turned overlapping: every solver changes its code
+  // path, so the untouched union is rebuilt too.
+  const auto disjoint = make(/*overlapping=*/false);
+  ASSERT_EQ(unions_built(*disjoint, "disjoint base"), 1u);
+  const auto flipped =
+      apply(*disjoint, Append(disjoint->epoch() + 1, 3005.0, 3015.0));
+  EXPECT_EQ(unions_built(*flipped, "verdict flip"), 1u);
 }
 
 TEST(ShardedSolverTest, PersistentSatCacheAmortizesRepeatQueries) {

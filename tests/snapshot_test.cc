@@ -1,8 +1,12 @@
 #include "serve/snapshot.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
 
+#include <csignal>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "pc/bound_solver.h"
@@ -93,6 +97,44 @@ TEST(SnapshotTest, WriteLoadFileRoundTripAndBitIdenticalBounds) {
     EXPECT_EQ(a->defined, b->defined);
     EXPECT_EQ(a->empty_instance_possible, b->empty_instance_possible);
   }
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(SnapshotTest, FailedWriteLeavesTheOldSnapshotIntact) {
+  const std::string path = TestScratchDir() + "/intact.pcxsnap";
+  ASSERT_TRUE(WriteSnapshot(SampleSnapshot(1, 1), path).ok());
+  const std::string old_bytes = ReadBytes(path);
+  Snapshot bigger = SampleSnapshot(3, 2);
+  const std::string new_bytes = SerializeSnapshot(bigger);
+  ASSERT_GT(new_bytes.size(), old_bytes.size());
+
+  // Cap this process's file size at the old snapshot's: writing the
+  // bigger one fails part-way with EFBIG (SIGXFSZ ignored, so the write
+  // returns an error instead of killing the process).
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit capped = saved;
+  capped.rlim_cur = old_bytes.size();
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const Status failed = WriteSnapshot(bigger, path);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(ReadBytes(path), old_bytes);
+  struct stat st;
+  EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0) << "tmp file left";
+
+  // Without the cap the same write replaces the file whole.
+  ASSERT_TRUE(WriteSnapshot(bigger, path).ok());
+  EXPECT_EQ(ReadBytes(path), new_bytes);
 }
 
 TEST(SnapshotTest, EmptyShardsSurviveRoundTrip) {

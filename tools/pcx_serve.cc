@@ -59,7 +59,6 @@ struct Flags {
   bool event_loop = false;           // epoll transport instead of threads
   size_t max_queue = 1024;           // event loop: admission cap (global)
   size_t max_conn_pending = 64;      // event loop: admission cap (per conn)
-  unsigned long coalesce_us = 200;   // event loop: BOUND batching window
   std::string log_dir;               // durable delta log (crash recovery)
   std::string replica;               // tail a primary: tcp:host:port
   unsigned long sync_ms = 200;       // replica poll cadence
@@ -102,11 +101,12 @@ void Usage() {
       "    depth; --serve-clients=N exits after N sessions\n"
       "    (--serve-once is shorthand for --serve-clients=1).\n"
       "    --event-loop switches to the epoll transport (C10K-scale:\n"
-      "    connections cost an fd, not a thread; cross-connection BOUND\n"
-      "    coalescing; overload answered with ERR UNAVAILABLE).\n"
+      "    connections cost an fd, not a thread; BOUNDs that arrive\n"
+      "    while every solver worker is busy share the next batch;\n"
+      "    overload answered with ERR UNAVAILABLE).\n"
       "    --serve-threads then sizes its solver pool, and\n"
-      "    --max-queue=N / --max-conn-pending=N set the admission caps,\n"
-      "    --coalesce-us=N the batching window (defaults 1024/64/200).\n"
+      "    --max-queue=N / --max-conn-pending=N set the admission caps\n"
+      "    (defaults 1024/64).\n"
       "    --log-dir=DIR journals APPEND/RETIRE/CHECKPOINT to a durable\n"
       "    fsync'd delta log; on restart the server recovers the exact\n"
       "    pre-crash epoch (base snapshot + log replay, torn tails\n"
@@ -404,8 +404,6 @@ int main(int argc, char** argv) {
       flags.max_queue = std::strtoul(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "max-conn-pending", &value)) {
       flags.max_conn_pending = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "coalesce-us", &value)) {
-      flags.coalesce_us = std::strtoul(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "log-dir", &value)) {
       flags.log_dir = value;
     } else if (ParseFlag(arg, "replica", &value)) {
@@ -554,9 +552,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "serving on localhost:%u (event loop, %zu solver threads, "
-                 "max_queue=%zu, coalesce_us=%lu)\n",
-                 listener->port(), flags.serve_threads, flags.max_queue,
-                 flags.coalesce_us);
+                 "max_queue=%zu)\n",
+                 listener->port(), flags.serve_threads, flags.max_queue);
     std::printf("PORT %u\n", listener->port());
     std::fflush(stdout);
     pcx::EventLoopListener::Options serve_options;
@@ -564,7 +561,6 @@ int main(int argc, char** argv) {
     serve_options.solver_threads = flags.serve_threads;
     serve_options.max_queue = flags.max_queue;
     serve_options.max_conn_pending = flags.max_conn_pending;
-    serve_options.coalesce_us = static_cast<uint32_t>(flags.coalesce_us);
     const pcx::Status status = listener->Serve(server, serve_options);
     if (!status.ok()) {
       std::fprintf(stderr, "server error: %s\n", status.message().c_str());
