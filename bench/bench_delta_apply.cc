@@ -8,8 +8,8 @@
 // in some cell. ApplyDeltas routes each append by a hull-gated overlap
 // scan and maintains the overlap-component structure in a union-find,
 // so its cost is O(delta · n) box checks. The full reload it replaces
-// repartitions from scratch: an O(n²) pairwise overlap scan before the
-// first shard exists.
+// repartitions from scratch: a whole-set sort-and-sweep overlap scan
+// before the first shard exists.
 //
 // Every batch is self-checked: the incremental solver must answer a
 // probe workload bit-identically to the from-scratch rebuild before

@@ -287,6 +287,9 @@ StatusOr<ResultRange> PcBoundSolver::BoundAvg(const AggQuery& query,
     };
     PCX_ASSIGN_OR_RETURN(const bool any, feasible(r_lo));
     if (!any) return Status::Infeasible("no instance with a matching row");
+    // Invariant: no allocation's AVG exceeds hi (r_hi is the largest
+    // value; hi only moves to an infeasible r). So hi, the outer end of
+    // the bracket, is the sound endpoint; lo may sit inside the range.
     double lo = r_lo, hi = r_hi;
     for (int it = 0; it < options_.avg_search_iterations && hi - lo > 1e-9;
          ++it) {
@@ -298,7 +301,7 @@ StatusOr<ResultRange> PcBoundSolver::BoundAvg(const AggQuery& query,
         hi = mid;
       }
     }
-    return lo;
+    return hi;
   };
 
   // Upper end on the values; lower end by negation symmetry:
@@ -323,7 +326,7 @@ StatusOr<ResultRange> PcBoundSolver::BoundAvg(const AggQuery& query,
   auto lo_res = upper_avg([](const CellBound& c) { return c.val_hi; });
   std::swap(cells, negated);
   if (!lo_res.ok()) return lo_res.status();
-  out.lo = -*lo_res;
+  out.lo = 0.0 - *lo_res;  // not -*lo_res: a +0.0 bound must not become -0.0
   return out;
 }
 

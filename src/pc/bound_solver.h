@@ -44,8 +44,9 @@ class PcBoundSolver {
     /// Iterations of the AVG binary search.
     int avg_search_iterations = 60;
     /// Caller-supplied guarantee that the predicates are pairwise
-    /// disjoint, skipping the O(n^2) detection that would otherwise run
-    /// at construction (with auto_disjoint_fast_path on). Used by
+    /// disjoint, skipping the sort-and-sweep detection
+    /// (PredicatesDisjoint) that would otherwise run at construction
+    /// (with auto_disjoint_fast_path on). Used by
     /// ShardedBoundSolver, which detects disjointness once on the full
     /// set and constructs many subset solvers: a subset of a disjoint
     /// set is disjoint. Asserting this for an overlapping set produces
@@ -208,7 +209,7 @@ class PcBoundSolver {
   StatusOr<double> DisjointUpper(const AggQuery& query, bool count) const;
 
   /// DisjointUpper evaluated over an arbitrary constraint set (used for
-  /// the value-negated lower-bound pass without re-running the O(n^2)
+  /// the value-negated lower-bound pass without re-running the
   /// disjointness detection).
   StatusOr<double> DisjointUpperOn(const PredicateConstraintSet& pcs,
                                    const AggQuery& query, bool count) const;

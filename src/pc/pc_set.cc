@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "predicate/box_pairs.h"
 
 namespace pcx {
 
@@ -46,15 +47,19 @@ bool PredicateConstraintSet::IsClosedOver(
 
 bool PredicateConstraintSet::PredicatesDisjoint(
     const std::vector<AttrDomain>& domains) const {
-  for (size_t i = 0; i < pcs_.size(); ++i) {
-    for (size_t j = i + 1; j < pcs_.size(); ++j) {
-      if (!pcs_[i].predicate().box().IntersectionEmpty(
-              pcs_[j].predicate().box(), domains)) {
-        return false;
-      }
-    }
-  }
-  return true;
+  bool disjoint = true;
+  ForEachIntersectingPair(PredicateBoxes(), domains, [&](size_t, size_t) {
+    disjoint = false;
+    return false;  // one intersecting pair settles it
+  });
+  return disjoint;
+}
+
+std::vector<const Box*> PredicateConstraintSet::PredicateBoxes() const {
+  std::vector<const Box*> boxes;
+  boxes.reserve(pcs_.size());
+  for (const auto& pc : pcs_) boxes.push_back(&pc.predicate().box());
+  return boxes;
 }
 
 PredicateConstraintSet PredicateConstraintSet::NegatedValues() const {

@@ -36,8 +36,13 @@ class PredicateConstraintSet {
                     const std::vector<AttrDomain>& domains = {}) const;
 
   /// True if all predicates are pairwise disjoint — the fast-path case
-  /// of paper §4.2 (partitioned PCs, Fig. 8).
+  /// of paper §4.2 (partitioned PCs, Fig. 8). A sort-and-sweep
+  /// (ForEachIntersectingPair) that stops at the first intersecting pair.
   bool PredicatesDisjoint(const std::vector<AttrDomain>& domains = {}) const;
+
+  /// Each constraint's predicate box, in constraint order; the pointers
+  /// live as long as the set is not modified.
+  std::vector<const Box*> PredicateBoxes() const;
 
   /// Set with every constraint's value ranges negated; used to turn
   /// minimization into maximization.

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "predicate/box_pairs.h"
 
 namespace pcx {
 namespace {
@@ -87,15 +88,14 @@ std::vector<std::vector<size_t>> OverlapComponents(
     const std::vector<AttrDomain>& domains) {
   const size_t n = pcs.size();
   DisjointSets sets(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Box& bi = pcs.at(i).predicate().box();
-    for (size_t j = i + 1; j < n; ++j) {
-      if (!bi.IntersectionEmpty(pcs.at(j).predicate().box(), domains)) {
-        sets.Union(i, j);
-      }
-    }
-  }
-  // Components in discovery order = order of their smallest member.
+  ForEachIntersectingPair(pcs.PredicateBoxes(), domains,
+                          [&sets](size_t i, size_t j) {
+                            sets.Union(i, j);
+                            return true;
+                          });
+  // Components in discovery order = order of their smallest member, read
+  // off after every union, so the order the edges arrive in cannot
+  // change them.
   std::vector<std::vector<size_t>> comps;
   std::vector<size_t> comp_of(n, SIZE_MAX);
   for (size_t i = 0; i < n; ++i) {

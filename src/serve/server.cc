@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <set>
@@ -283,8 +284,12 @@ uint64_t BoundServer::uptime_seconds() const {
 
 void BoundServer::SwapSolver(std::shared_ptr<const ShardedBoundSolver> next,
                              std::span<const DeltaRecord> records) {
+  // The replaced solver (its shard solvers, their negated siblings and
+  // its memoized unions) is freed when `old` goes out of scope, after
+  // mu_ is released: every BOUND the event loop admits takes mu_.
+  std::shared_ptr<const ShardedBoundSolver> old;
   MutexLock lock(mu_);
-  solver_ = std::move(next);
+  old = std::exchange(solver_, std::move(next));
   if (records.empty()) {
     // A snapshot-level swap (LOAD, replica resync): the delta history
     // no longer leads to the served state, so record shipping restarts
@@ -293,10 +298,14 @@ void BoundServer::SwapSolver(std::shared_ptr<const ShardedBoundSolver> next,
     tail_floor_ = solver_->epoch();
   } else {
     tail_.insert(tail_.end(), records.begin(), records.end());
-    while (tail_.size() > kMaxTailRecords) {
-      tail_floor_ = tail_.front().epoch;
-      tail_.erase(tail_.begin());
-    }
+    TrimTail();
+  }
+}
+
+void BoundServer::TrimTail() {
+  while (tail_.size() > kMaxTailRecords) {
+    tail_floor_ = tail_.front().epoch;
+    tail_.pop_front();
   }
 }
 
@@ -344,16 +353,15 @@ Status BoundServer::EnableDurableLog(const std::string& dir) {
     if (!recovered.tail.empty()) {
       PCX_ASSIGN_OR_RETURN(current, base->ApplyDeltas(recovered.tail));
     }
+    std::shared_ptr<const ShardedBoundSolver> old;  // freed after mu_
     MutexLock swap_lock(mu_);
-    solver_ = current;
+    old = std::exchange(solver_, current);
     // The replayed tail doubles as shippable SYNC history, so a replica
     // of a restarted primary can catch up without a full resync.
-    tail_ = std::move(recovered.tail);
+    tail_.assign(std::make_move_iterator(recovered.tail.begin()),
+                 std::make_move_iterator(recovered.tail.end()));
     tail_floor_ = recovered.base.epoch;
-    while (tail_.size() > kMaxTailRecords) {
-      tail_floor_ = tail_.front().epoch;
-      tail_.erase(tail_.begin());
-    }
+    TrimTail();
   } else if (solver() != nullptr) {
     // Log attached to an already-loaded server over an empty directory:
     // seed the base from the served snapshot.
@@ -464,7 +472,7 @@ Status BoundServer::HandleSync(const std::vector<std::string>& tokens,
   {
     MutexLock lock(mu_);
     current = solver_;
-    records = tail_;
+    records.assign(tail_.begin(), tail_.end());
     floor = tail_floor_;
   }
   if (current == nullptr) {

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -249,6 +250,9 @@ class BoundServer {
   /// the shippable history).
   void SwapSolver(std::shared_ptr<const ShardedBoundSolver> next,
                   std::span<const DeltaRecord> records);
+  /// Drops the oldest SYNC records beyond kMaxTailRecords, advancing
+  /// the floor.
+  void TrimTail() REQUIRES(mu_);
 
   /// APPEND/RETIRE/CHECKPOINT bodies: build the record at the next
   /// epoch, journal, swap, and write the OK reply.
@@ -335,7 +339,7 @@ class BoundServer {
   std::string snapshot_path_ GUARDED_BY(mu_);
   /// Recent records for SYNC shipping, oldest first; contiguous epochs
   /// (tail_floor_, tail_floor_ + tail_.size()].
-  std::vector<DeltaRecord> tail_ GUARDED_BY(mu_);
+  std::deque<DeltaRecord> tail_ GUARDED_BY(mu_);
   uint64_t tail_floor_ GUARDED_BY(mu_) = 0;  ///< epoch *before* tail_.front()
 };
 

@@ -143,8 +143,8 @@ ShardedBoundSolver::ShardedBoundSolver(const Snapshot& snapshot,
   // Adopt the stored shard layout verbatim; re-derive the balance
   // metadata from the component structure (a property of the set, not
   // of the file) so STATS reports the same numbers the snapshot
-  // builder printed. One O(n^2) scan serves components, costs, and the
-  // disjointness verdict in BuildShards.
+  // builder printed. One OverlapComponents sweep serves components,
+  // costs, and the disjointness verdict in BuildShards.
   partition_.shards.clear();
   for (const SnapshotShard& s : snapshot.shards) {
     partition_.shards.push_back(s.indices);
@@ -201,8 +201,8 @@ void ShardedBoundSolver::BuildShards(
   // relative to the unsharded solver, so the verdict of the *full* set
   // is imposed on every shard and union solver. In the disjoint case
   // the verdict transfers to every subset, so shard/union construction
-  // skips the O(m^2) re-detection — without this, building a memoized
-  // union solver would cost more than the queries it serves.
+  // skips the re-detection — without this, every memoized union
+  // solver would sweep its members again.
   if (flat_disjoint_) {
     options_.solver.assume_predicates_disjoint = true;
   } else {
@@ -352,8 +352,8 @@ ShardedBoundSolver::ApplyDeltas(std::span<const DeltaRecord> records) const {
   // component ids. An append only ever *adds* overlap edges (new
   // constraint <-> every overlapping alive constraint), so unioning
   // along exactly those edges keeps the structure the transitive
-  // closure OverlapComponents would compute — without its O(n^2)
-  // rescan. The one mutation the bookkeeping cannot follow is retiring
+  // closure OverlapComponents would compute — without its whole-set
+  // sweep. The one mutation the bookkeeping cannot follow is retiring
   // a member of a multi-member component (the component may split);
   // only that case falls back to the full rescan below.
   std::vector<size_t> parent(pc_of_key.size());

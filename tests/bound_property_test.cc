@@ -30,6 +30,9 @@ struct BruteResult {
   double max_sum = -std::numeric_limits<double>::infinity();
   double min_sum = std::numeric_limits<double>::infinity();
   double max_count = 0.0;
+  /// Over the instances with at least one row (AVG is undefined on none).
+  double max_avg = -std::numeric_limits<double>::infinity();
+  double min_avg = std::numeric_limits<double>::infinity();
 };
 
 /// Enumerates every allocation and keeps those satisfying `pcs`.
@@ -57,6 +60,10 @@ BruteResult BruteForce(const PredicateConstraintSet& pcs,
       out.max_sum = std::max(out.max_sum, sum);
       out.min_sum = std::min(out.min_sum, sum);
       out.max_count = std::max(out.max_count, count);
+      if (count > 0.0) {
+        out.max_avg = std::max(out.max_avg, sum / count);
+        out.min_avg = std::min(out.min_avg, sum / count);
+      }
     }
     // Next allocation.
     size_t d = 0;
@@ -118,6 +125,25 @@ TEST_P(BruteForceCrossCheck, SumAndCountBoundsContainAllInstances) {
     const auto count_range = solver.Bound(AggQuery::Count());
     ASSERT_TRUE(count_range.ok());
     EXPECT_LE(brute.max_count, count_range->hi + 1e-9);
+  }
+}
+
+TEST_P(BruteForceCrossCheck, AvgBoundsContainAllInstances) {
+  // No tolerance: the range claims every instance's AVG lies inside it.
+  Rng rng(GetParam() * 31 + 11);
+  DiscreteUniverse universe;
+  for (int trial = 0; trial < 6; ++trial) {
+    const PredicateConstraintSet pcs = RandomPcs(&rng, universe);
+    const BruteResult brute = BruteForce(pcs, universe);
+    if (brute.max_avg < brute.min_avg) continue;  // no non-empty instance
+
+    PcBoundSolver solver(
+        pcs, {AttrDomain::kInteger, AttrDomain::kContinuous});
+    const auto avg_range = solver.Bound(AggQuery::Avg(1));
+    ASSERT_TRUE(avg_range.ok()) << avg_range.status();
+    ASSERT_TRUE(avg_range->defined) << pcs.ToString();
+    EXPECT_LE(brute.max_avg, avg_range->hi) << pcs.ToString();
+    EXPECT_GE(brute.min_avg, avg_range->lo) << pcs.ToString();
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "pc/bound_solver.h"
 #include "pc/combine.h"
 
@@ -125,6 +128,38 @@ TEST(BoundSolverTest, AvgWithZeroLowerFrequencies) {
   EXPECT_NEAR(range->hi, 40.0, 1e-4);
   EXPECT_NEAR(range->lo, 10.0, 1e-4);
   EXPECT_TRUE(range->empty_instance_possible);
+}
+
+/// One TRUE-predicate constraint over a single attribute: `values` on
+/// it, between 1 and 5 rows.
+PredicateConstraintSet OneValuePc(const Interval& values) {
+  Box box(1);
+  box.Constrain(0, values);
+  PredicateConstraintSet pcs;
+  pcs.Add(PredicateConstraint(Predicate(1), box, {1, 5}));
+  return pcs;
+}
+
+TEST(BoundSolverTest, AvgRangeContainsBothExtremes) {
+  // One row at 0 and one row at 1/3 are both valid instances, so both
+  // AVGs must lie inside the range — exactly, with no tolerance.
+  PcBoundSolver solver(OneValuePc(Interval::Closed(0.0, 1.0 / 3.0)));
+  const auto range = solver.Bound(AggQuery::Avg(0));
+  ASSERT_TRUE(range.ok()) << range.status();
+  ASSERT_TRUE(range->defined);
+  EXPECT_LE(range->lo, 0.0);
+  EXPECT_GE(range->hi, 1.0 / 3.0);
+  EXPECT_FALSE(std::signbit(range->lo)) << "lo is -0.0";
+}
+
+TEST(BoundSolverTest, AvgUpperEndSoundWithUnboundedBelowValues) {
+  // Values in (-inf, 5]: one row at 5 has AVG 5.
+  PcBoundSolver solver(OneValuePc(Interval::AtMost(5.0)));
+  const auto range = solver.Bound(AggQuery::Avg(0));
+  ASSERT_TRUE(range.ok()) << range.status();
+  ASSERT_TRUE(range->defined);
+  EXPECT_GE(range->hi, 5.0);
+  EXPECT_EQ(range->lo, -std::numeric_limits<double>::infinity());
 }
 
 TEST(BoundSolverTest, MinMaxBounds) {
